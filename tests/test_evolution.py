@@ -20,6 +20,47 @@ def surviving_pair_block(rho16):
     return rho16.reshape(4, 4, 4, 4)[:2, :2, :2, :2].reshape(4, 4)
 
 
+def rk4_reference(rho, t, params, dt=1e-3, summed_generator=False):
+    """Stage-wise fixed-step RK4 of the Lindblad equation, written out literally.
+
+    Same Hamiltonian, decay generators, step count, output mask and
+    symmetrisation as lindblad_integrate, which must reproduce it.
+    """
+    h = np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex)
+    a = np.zeros((4, 4), dtype=complex)
+    a[3, 0] = math.sqrt(params.gamma_s)
+    a[2, 1] = math.sqrt(params.gamma_l)
+    gens = [a]
+    mask = np.zeros((4, 4))
+    mask[:2, :2] = 1.0
+    mask[2, 2] = mask[3, 3] = 1.0
+    if rho.shape == (16, 16):
+        i4 = np.eye(4)
+        h = np.kron(h, i4) + np.kron(i4, h)
+        gens = [np.kron(a, i4), np.kron(i4, a)]
+        if summed_generator:
+            gens = [gens[0] + gens[1]]
+        mask = np.kron(mask, mask)
+
+    def rhs(r):
+        out = -1j * (h @ r - r @ h)
+        for g in gens:
+            ada = g.conj().T @ g
+            out = out + g @ r @ g.conj().T - 0.5 * (ada @ r + r @ ada)
+        return out
+
+    steps = max(1, math.ceil(t / dt))
+    step = t / steps
+    r = np.asarray(rho, dtype=complex)
+    for _ in range(steps):
+        k1 = rhs(r)
+        k2 = rhs(r + 0.5 * step * k1)
+        k3 = rhs(r + 0.5 * step * k2)
+        k4 = rhs(r + step * k3)
+        r = r + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return 0.5 * (r + r.conj().T) * mask
+
+
 class TestClosedForm:
     def test_time_zero_is_identity(self, kaon, rng):
         rho = random_density(rng)
@@ -46,6 +87,13 @@ class TestClosedForm:
     def test_negative_time_rejected(self, kaon):
         with pytest.raises(ValueError):
             evolve_single_closed(np.eye(2) / 2, -0.5, kaon)
+
+    def test_non_finite_input_rejected(self, kaon):
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="t must be finite"):
+                evolve_single_closed(np.eye(2) / 2, t, kaon)
+        with pytest.raises(ValueError, match="finite"):
+            evolve_single_closed(np.full((2, 2), math.nan), 0.1, kaon)
 
     def test_markov_composition(self, kaon, rng):
         rho = embed_surviving(random_density(rng))
@@ -102,6 +150,8 @@ class TestLindbladIntegrator:
         rho = embed_surviving(np.diag([0.5, 0.5]).astype(complex))
         with pytest.raises(ValueError, match="reduce dt"):
             lindblad_integrate(rho, 5.0, bmeson, dt=0.5)
+        with pytest.raises(ValueError, match="reduce dt"):
+            lindblad_integrate(singlet_state(), 5.0, bmeson, dt=0.5)
 
     def test_input_validation(self, kaon):
         rho = embed_surviving(np.eye(2) / 2)
@@ -109,6 +159,45 @@ class TestLindbladIntegrator:
             lindblad_integrate(rho, 1.0, kaon, dt=-1e-3)
         with pytest.raises(ValueError):
             lindblad_integrate(np.eye(2) / 2, 1.0, kaon)
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="t must be finite"):
+                lindblad_integrate(rho, bad, kaon)
+            with pytest.raises(ValueError, match="dt must be finite"):
+                lindblad_integrate(rho, 1.0, kaon, dt=bad)
+            state = rho.copy()
+            state[0, 1] = bad
+            with pytest.raises(ValueError, match="finite"):
+                lindblad_integrate(state, 0.1, kaon)
+        with pytest.raises(ValueError, match="finite"):
+            lindblad_integrate(np.full((4, 4), math.nan), 0.1, kaon)
+        with pytest.raises(ValueError, match="finite"):
+            lindblad_integrate(np.full((16, 16), math.nan), 0.0, kaon)
+
+    def test_matches_stagewise_rk4(self, kaon, rng):
+        cases = [
+            (embed_surviving(random_density(rng)), 0.3, False),
+            (random_density(rng, 4), 0.3, False),
+            (singlet_state().entries, 0.1, False),
+            (singlet_state().entries, 0.1, True),
+            (random_density(rng, 16), 0.05, False),
+            (random_density(rng, 16), 0.05, True),
+            (np.zeros((4, 4)), 0.1, False),
+        ]
+        for rho, t, summed in cases:
+            want = rk4_reference(rho, t, kaon, summed_generator=summed)
+            got = lindblad_integrate(rho, t, kaon, summed_generator=summed)
+            assert np.abs(got.entries - want).max() < 1e-12
+
+    def test_full_support_matches_closed_form(self, kaon, rng):
+        # every entry is populated, so the integrator runs on the whole space
+        rho4 = random_density(rng, 4)
+        a = evolve_single_closed(rho4, 1.0, kaon).entries
+        b = lindblad_integrate(rho4, 1.0, kaon).entries
+        assert np.abs(a - b).max() < 1e-8
+        rho16 = random_density(rng, 16)
+        a = evolve_bipartite(rho16, 0.3, kaon).entries
+        b = lindblad_integrate(rho16, 0.3, kaon).entries
+        assert np.abs(a - b).max() < 1e-8
 
 
 class TestBipartite:
@@ -119,6 +208,11 @@ class TestBipartite:
         want = np.kron(evolve_single_closed(rho_a, 1.3, kaon).entries,
                        evolve_single_closed(rho_b, 1.3, kaon).entries)
         assert np.abs(out - want).max() < 1e-12
+
+    def test_non_finite_time_rejected(self, kaon):
+        for t in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="t must be finite"):
+                evolve_bipartite(singlet_state(), t, kaon)
 
     def test_singlet_unchanged_at_zero(self, kaon):
         psi = singlet_state()
@@ -214,6 +308,16 @@ class TestJointProbabilities:
             joint_probabilities(singlet_state(), K0BAR_DIRECTION, 0.5,
                                 K0BAR_DIRECTION, 1.0, kaon)
 
+    def test_non_finite_times_rejected(self, kaon):
+        psi = singlet_state()
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="t_m must be finite"):
+                joint_probabilities(psi, K0BAR_DIRECTION, 1.0,
+                                    K0BAR_DIRECTION, bad, kaon)
+            with pytest.raises(ValueError, match="t_n must be finite"):
+                joint_probabilities(psi, K0BAR_DIRECTION, bad,
+                                    K0BAR_DIRECTION, 0.5, kaon)
+
     def test_expectation_matches_effective_operators(self, kaon):
         psi = singlet_state()
         jo = joint_probabilities(psi, K0BAR_DIRECTION, 1.0, K0BAR_DIRECTION,
@@ -228,6 +332,15 @@ class TestDensityMatrix:
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_rejects_non_finite(self):
+        for bad in (math.nan, math.inf):
+            m = np.eye(2) / 2
+            m[0, 0] = bad
+            with pytest.raises(ValueError, match="finite"):
+                DensityMatrix(m)
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(np.full((4, 4), math.nan))
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ValueError):
