@@ -16,12 +16,13 @@ import numpy as np
 
 from .core import (
     K0BAR_DIRECTION, MesonParams, Quasispin, cp_basis_data, hermitian_eigen,
-    k0bar_state, k1_state, kl_state, ks_state,
+    k0bar_state, k1_state, kl_state, ks_state, _entries, _require_finite,
 )
 from .effective import (
     ObservableMatrix, effective_operator, effective_operator_cp,
-    eigenpair_from_matrix, spectral,
+    eigenpair_from_matrix, spectral, _pair_expectation,
 )
+from .evolution import _surviving_pair, singlet_state
 from .uncertainty import bipartite_mu_bound
 
 __all__ = [
@@ -60,6 +61,8 @@ class BellSetting:
     cp_mode: bool = False
 
     def __post_init__(self):
+        _require_finite(t_n=self.t_n, t_m=self.t_m, t_np=self.t_np,
+                        t_mp=self.t_mp)
         if min(self.t_n, self.t_m, self.t_np, self.t_mp) < 0.0:
             raise ValueError("detection times must be nonnegative")
 
@@ -70,10 +73,14 @@ def _observables(s: BellSetting, params: MesonParams) -> tuple[ObservableMatrix,
             build(s.k_np, s.t_np, params), build(s.k_mp, s.t_mp, params))
 
 
+def _witness(o_n: np.ndarray, o_m: np.ndarray, o_np: np.ndarray,
+             o_mp: np.ndarray) -> np.ndarray:
+    return np.kron(o_n, o_m - o_mp) + np.kron(o_np, o_m + o_mp)
+
+
 def bell_operator(s: BellSetting, params: MesonParams) -> np.ndarray:
     """The 4x4 Hermitian witness O_n x (O_m - O_m') + O_n' x (O_m + O_m')."""
-    o_n, o_m, o_np, o_mp = (o.matrix for o in _observables(s, params))
-    return np.kron(o_n, o_m - o_mp) + np.kron(o_np, o_m + o_mp)
+    return _witness(*(o.matrix for o in _observables(s, params)))
 
 
 @dataclass(frozen=True)
@@ -87,7 +94,7 @@ class BellReport:
     tsirelson: float = TSIRELSON_BOUND
 
 
-def _summand_bound(s: BellSetting, params: MesonParams) -> float:
+def _summand_bound(obs: tuple[ObservableMatrix, ...]) -> float:
     """Entropic bound between the two witness summands.
 
     Side A compares the O_n and O_n' eigenbases, side B the eigenbases of
@@ -95,7 +102,7 @@ def _summand_bound(s: BellSetting, params: MesonParams) -> float:
     eigenbasis is free), so the bound collapses to zero there; this is what
     happens at t = 0 when both B questions coincide.
     """
-    o_n, o_m, o_np, o_mp = _observables(s, params)
+    o_n, o_m, o_np, o_mp = obs
     pair_b1 = eigenpair_from_matrix(o_m.matrix - o_mp.matrix,
                                     basis=o_m.basis, gap_tol=_SUMMAND_GAP_TOL)
     pair_b2 = eigenpair_from_matrix(o_m.matrix + o_mp.matrix,
@@ -107,9 +114,10 @@ def _summand_bound(s: BellSetting, params: MesonParams) -> float:
 
 
 def bell_bounds(s: BellSetting, params: MesonParams) -> BellReport:
-    vals = hermitian_eigen(bell_operator(s, params)).eigenvalues
+    obs = _observables(s, params)
+    vals = hermitian_eigen(_witness(*(o.matrix for o in obs))).eigenvalues
     return BellReport(lambda_min=float(vals[-1]), lambda_max=float(vals[0]),
-                      summand_mu_bound=_summand_bound(s, params))
+                      summand_mu_bound=_summand_bound(obs))
 
 
 @dataclass(frozen=True)
@@ -124,21 +132,21 @@ class ChshValue:
     witness: float
 
 
-def _pair_expectations(ops: tuple, rho4: np.ndarray) -> tuple[float, ...]:
-    o_n, o_m, o_np, o_mp = (o.matrix for o in ops)
-    def ev(a, b):
-        return float(np.trace(np.kron(a, b) @ rho4).real)
-    return ev(o_n, o_m), ev(o_n, o_mp), ev(o_np, o_m), ev(o_np, o_mp)
+def _chsh(o_n: np.ndarray, o_m: np.ndarray, o_np: np.ndarray,
+          o_mp: np.ndarray, rho4: np.ndarray) -> ChshValue:
+    e_nm, e_nmp, e_npm, e_npmp = (
+        _pair_expectation(a, b, rho4)
+        for a, b in ((o_n, o_m), (o_n, o_mp), (o_np, o_m), (o_np, o_mp)))
+    return ChshValue(s=abs(e_nm - e_nmp) + abs(e_npm + e_npmp),
+                     witness=e_nm - e_nmp + e_npm + e_npmp)
 
 
 def chsh_value(s: BellSetting, rho0, params: MesonParams) -> ChshValue:
     """CHSH value |E_nm - E_nm'| + |E_n'm + E_n'm'| for a t=0 pair state."""
-    rho4 = np.asarray(getattr(rho0, "entries", rho0), dtype=complex)
+    rho4 = _entries(rho0)
     if rho4.shape != (4, 4):
         raise ValueError("expected a 4x4 two-particle initial state")
-    e_nm, e_nmp, e_npm, e_npmp = _pair_expectations(_observables(s, params), rho4)
-    return ChshValue(s=abs(e_nm - e_nmp) + abs(e_npm + e_npmp),
-                     witness=e_nm - e_nmp + e_npm + e_npmp)
+    return _chsh(*(o.matrix for o in _observables(s, params)), rho4)
 
 
 @dataclass(frozen=True)
@@ -160,13 +168,6 @@ class CpBellReport:
     lambda_max_kl: float
 
 
-def _strangeness_singlet4() -> np.ndarray:
-    k0 = np.array([1.0, 0.0])
-    k0bar = np.array([0.0, 1.0])
-    v = (np.kron(k0, k0bar) - np.kron(k0bar, k0)) / math.sqrt(2.0)
-    return np.outer(v, v.conj()).astype(complex)
-
-
 def cp_bell_test(delta: float, tol: float = 1e-9) -> CpBellReport:
     """CHSH test at t = 0 with exact p,q states in the strangeness basis.
 
@@ -178,7 +179,8 @@ def cp_bell_test(delta: float, tol: float = 1e-9) -> CpBellReport:
     if not abs(delta) < 0.1:
         raise ValueError("test is meant for small CP asymmetries, |delta| < 0.1")
     cp = cp_basis_data(delta)
-    singlet = _strangeness_singlet4()
+    # (|01> - |10>)/sqrt(2) keeps its form in every basis, strangeness included
+    singlet = _surviving_pair(singlet_state())
 
     def observable(state):
         return 2.0 * np.outer(state, state.conj()) - np.eye(2)
@@ -187,16 +189,9 @@ def cp_bell_test(delta: float, tol: float = 1e-9) -> CpBellReport:
     o_k1 = observable(k1_state())
 
     def run(first_state):
-        o_first = observable(first_state)
-        bell = (np.kron(o_first, o_k0bar - o_k1)
-                + np.kron(o_k1, o_k0bar + o_k1))
-        lam_max = float(hermitian_eigen(bell).eigenvalues[0])
-        e1 = float(np.trace(np.kron(o_first, o_k0bar) @ singlet).real)
-        e2 = float(np.trace(np.kron(o_first, o_k1) @ singlet).real)
-        e3 = float(np.trace(np.kron(o_k1, o_k0bar) @ singlet).real)
-        e4 = float(np.trace(np.kron(o_k1, o_k1) @ singlet).real)
-        s = abs(e1 - e2) + abs(e3 + e4)
-        return s, lam_max
+        ops = (observable(first_state), o_k0bar, o_k1, o_k1)
+        lam_max = float(hermitian_eigen(_witness(*ops)).eigenvalues[0])
+        return _chsh(*ops, singlet).s, lam_max
 
     s_ks, lam_ks = run(ks_state(cp))
     s_kl, lam_kl = run(kl_state(cp))

@@ -33,6 +33,7 @@ from .effective import (
 from .evolution import (
     embed_surviving, evolve_bipartite, evolve_single_closed,
     joint_probabilities, lindblad_integrate, pure_density, singlet_state,
+    _surviving_pair,
 )
 from .uncertainty import (
     bipartite_mu_bound, complementary_time, delta_for_equal_times, misid_time,
@@ -189,35 +190,31 @@ def cmd_uncertainty(args) -> int:
             # include the exact complementary-time row, where the bound peaks
             grid = sorted(set(grid) | {complementary_time(params)})
         fixed, scan = _uncertainty_pairs(fig, params)
-        unit = _out_unit_factor(args, params)
-        rows = []
-        for t in grid:
-            rep = mu_bound(scan(float(t)), fixed)
-            rows.append([t * unit, rep.bound, rep.max_overlap,
-                         rep.argmax_pair[0], rep.argmax_pair[1]])
-        _write_csv(out, ["t", "bound", "max_overlap", "argmax_i", "argmax_j"], rows)
-        return 0
 
-    params = _system_params(args)
-    if args.obs1 is None or args.obs2 is None:
-        raise SystemExit("provide --fig or both --obs1 and --obs2")
-    q1, t1 = _parse_obs(args.obs1)
-    q2, t2 = _parse_obs(args.obs2)
-    scale = _time_scale(args, params)
-    t1, t2 = t1 * scale, t2 * scale
-    grid = _grid(args, params, (0.0, 6.0, 241))
+        def pairs(t):
+            return scan(t), fixed
+    else:
+        params = _system_params(args)
+        if args.obs1 is None or args.obs2 is None:
+            raise SystemExit("provide --fig or both --obs1 and --obs2")
+        q1, t1 = _parse_obs(args.obs1)
+        q2, t2 = _parse_obs(args.obs2)
+        scale = _time_scale(args, params)
+        t1, t2 = t1 * scale, t2 * scale
+        grid = _grid(args, params, (0.0, 6.0, 241))
+
+        def pairs(t):
+            u1 = t if args.scan in ("obs1", "both") else t1
+            u2 = t if args.scan in ("obs2", "both") else t2
+            return (spectral(effective_operator(q1, float(u1), params)),
+                    spectral(effective_operator(q2, float(u2), params)))
     unit = _out_unit_factor(args, params)
-    scan = args.scan
     rows = []
     for t in grid:
-        u1 = t if scan in ("obs1", "both") else t1
-        u2 = t if scan in ("obs2", "both") else t2
-        rep = mu_bound(spectral(effective_operator(q1, float(u1), params)),
-                       spectral(effective_operator(q2, float(u2), params)))
+        rep = mu_bound(*pairs(float(t)))
         rows.append([t * unit, rep.bound, rep.max_overlap,
                      rep.argmax_pair[0], rep.argmax_pair[1]])
-    _write_csv(_merged(args, "out", None),
-               ["t", "bound", "max_overlap", "argmax_i", "argmax_j"], rows)
+    _write_csv(out, ["t", "bound", "max_overlap", "argmax_i", "argmax_j"], rows)
     return 0
 
 
@@ -226,11 +223,11 @@ def _uncertainty_bipartite_fig(args, fig: str, out) -> int:
     q = Quasispin(0.5 * math.pi, 0.0)
     grid = _grid(args, params, (0.0, 4.0, 201))
     unit = _out_unit_factor(args, params)
+    pair_0 = spectral(effective_operator(q, 0.0, params))
     rows = []
     for t in grid:
         t = float(t)
         pair_t = spectral(effective_operator(q, t, params))
-        pair_0 = spectral(effective_operator(q, 0.0, params))
         for j in range(5):
             t1 = 0.25 * j * t
             pair_t1 = spectral(effective_operator(q, t1, params))
@@ -338,6 +335,7 @@ def _verify_closed_vs_integrator(params, rng, trials) -> float:
 
 def _verify_effective_vs_joint(params, rng, trials) -> float:
     psi_m = singlet_state()
+    surv = _surviving_pair(psi_m)
     worst = 0.0
     for _ in range(trials):
         q_n = Quasispin(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
@@ -345,7 +343,6 @@ def _verify_effective_vs_joint(params, rng, trials) -> float:
         t_m = rng.uniform(0.0, 2.0)
         t_n = t_m + rng.uniform(0.0, 2.0)
         jo = joint_probabilities(psi_m, q_n, t_n, q_m, t_m, params)
-        surv = psi_m.entries.reshape(4, 4, 4, 4)[:2, :2, :2, :2].reshape(4, 4)
         e_eff = bipartite_expectation(effective_operator(q_n, t_n, params),
                                       effective_operator(q_m, t_m, params), surv)
         worst = max(worst, abs(jo.expectation - e_eff))

@@ -43,6 +43,20 @@ KAON_LIFETIME_RATIO = 0.89e-10 / 5.17e-8
 KAON_DELTA = 3.322e-3
 
 
+def _require_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
+def _entries(rho) -> np.ndarray:
+    """Complex entries of a DensityMatrix or array-like state, checked finite."""
+    m = np.asarray(getattr(rho, "entries", rho), dtype=complex)
+    if not np.isfinite(m).all():
+        raise ValueError("state entries must be finite")
+    return m
+
+
 @dataclass(frozen=True)
 class MesonParams:
     """Decay widths and CP asymmetry of a two-state meson, Delta-m rescaled.
@@ -110,6 +124,7 @@ class Quasispin:
     phi: float = 0.0
 
     def __post_init__(self):
+        _require_finite(alpha=self.alpha, phi=self.phi)
         if not -1e-12 <= self.alpha <= math.pi + 1e-12:
             raise ValueError("alpha must lie in [0, pi]")
         object.__setattr__(self, "alpha", min(max(self.alpha, 0.0), math.pi))

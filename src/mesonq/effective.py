@@ -18,7 +18,7 @@ import numpy as np
 from .core import (
     CP_TO_STRANGENESS, ID2, PAULI, CpBasisData, MesonParams, Quasispin,
     cp_basis_data, hermitian_eigen, ks_state, kl_state,
-    mass_to_strangeness_matrix, _canonical_phase,
+    mass_to_strangeness_matrix, _canonical_phase, _entries, _require_finite,
 )
 
 __all__ = [
@@ -87,6 +87,7 @@ def _matrix_from_bloch(n0: float, n: np.ndarray) -> np.ndarray:
 
 def effective_operator(q: Quasispin, t: float, params: MesonParams) -> ObservableMatrix:
     """Effective yes/no observable in the mass basis (CP asymmetry neglected)."""
+    _require_finite(t=t)
     if t < 0.0:
         raise ValueError("observables live at detection times t >= 0")
     n0, n = bloch_vector(q, t, params)
@@ -170,6 +171,7 @@ def effective_operator_cp(q: Quasispin, t: float, params: MesonParams) -> Observ
     which is exactly the Bloch vector of the propagated overlap amplitudes
     (<K_S|k>, <K_L|k>); the quasispin angles refer to the mass basis.
     """
+    _require_finite(t=t)
     if t < 0.0:
         raise ValueError("observables live at detection times t >= 0")
     a, phi, d = q.alpha, q.phi, params.delta
@@ -199,6 +201,7 @@ def effective_operator_cp_exact(q: Quasispin, t: float,
     delta because the latter expands states over <K_i| overlaps instead of the
     inverse-basis coefficients; the comparison test documents the gap.
     """
+    _require_finite(t=t)
     if t < 0.0:
         raise ValueError("observables live at detection times t >= 0")
     cp = cp_basis_data(params.delta)
@@ -245,14 +248,9 @@ def eigenpair_from_matrix(m: np.ndarray, basis: str = "mass",
                      degenerate=bool(lam[0] - lam[1] <= gap_tol), basis=basis)
 
 
-def _as_matrix(rho) -> np.ndarray:
-    entries = getattr(rho, "entries", rho)
-    return np.asarray(entries, dtype=complex)
-
-
 def expectation(o: ObservableMatrix, rho0) -> float:
     """Tr(O rho0) = 2 P(yes) - 1 for a t=0 state on the surviving space."""
-    rho = _as_matrix(rho0)
+    rho = _entries(rho0)
     if rho.shape != (2, 2):
         raise ValueError("expected a 2x2 initial state")
     return float(np.trace(o.matrix @ rho).real)
@@ -260,7 +258,12 @@ def expectation(o: ObservableMatrix, rho0) -> float:
 
 def bipartite_expectation(o1: ObservableMatrix, o2: ObservableMatrix, rho0) -> float:
     """Tr((O1 x O2) rho0) for a t=0 pair state on surviving x surviving."""
-    rho = _as_matrix(rho0)
+    rho = _entries(rho0)
     if rho.shape != (4, 4):
         raise ValueError("expected a 4x4 two-particle initial state")
-    return float(np.trace(np.kron(o1.matrix, o2.matrix) @ rho).real)
+    return _pair_expectation(o1.matrix, o2.matrix, rho)
+
+
+def _pair_expectation(a: np.ndarray, b: np.ndarray, rho4: np.ndarray) -> float:
+    """Tr((A x B) rho4) for 2x2 matrices A, B and a 4x4 pair state."""
+    return float(np.trace(np.kron(a, b) @ rho4).real)

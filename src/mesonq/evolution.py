@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MesonParams, Quasispin
+from .core import MesonParams, Quasispin, _entries, _require_finite
 
 __all__ = [
     "DensityMatrix", "JointOutcome",
@@ -66,13 +66,11 @@ class DensityMatrix:
     def surviving_trace(self) -> float:
         """Probability that nothing has decayed yet."""
         m = self.entries
-        if self.dim == 2:
-            return self.trace
         if self.dim == 4:
-            return float(np.trace(m[:2, :2]).real)
-        r = m.reshape(4, 4, 4, 4)
-        return float(sum(r[a, b, a, b].real
-                         for a in range(2) for b in range(2)))
+            m = m[:2, :2]
+        elif self.dim == 16:
+            m = _surviving_pair(m)
+        return float(np.trace(m).real)
 
 
 def pure_density(v: np.ndarray, basis: str = "mass") -> DensityMatrix:
@@ -93,22 +91,11 @@ def quasispin_projector4(q: Quasispin) -> np.ndarray:
     return embed_surviving(np.outer(k, k.conj()))
 
 
-def _entries(rho) -> np.ndarray:
-    m = np.asarray(getattr(rho, "entries", rho), dtype=complex)
-    if not np.isfinite(m).all():
-        raise ValueError("state entries must be finite")
-    return m
-
-
-def _require_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
-
-
-def _closed_map4(rho4: np.ndarray, t: float, params: MesonParams) -> np.ndarray:
+def _closed_map4(rho: np.ndarray, t: float, params: MesonParams) -> np.ndarray:
     """One-particle propagation by t >= 0 on the 4-dim space.
 
+    The map acts on the first two axes of `rho`, rho[i, j, ...]; any trailing
+    axes (the other particle of a pair) are carried along untouched.
     Surviving block: populations damp with e^{-Gamma_i t}, the coherence
     rotates with the mass splitting and damps with e^{-Gamma t}.  Decayed
     populations accumulate on the final diagonal; final coherences and
@@ -117,13 +104,13 @@ def _closed_map4(rho4: np.ndarray, t: float, params: MesonParams) -> np.ndarray:
     es = math.exp(-params.gamma_s * t)
     el = math.exp(-params.gamma_l * t)
     osc = np.exp((1j - params.gamma_mean) * t)
-    out = np.zeros((4, 4), dtype=complex)
-    out[0, 0] = es * rho4[0, 0]
-    out[1, 1] = el * rho4[1, 1]
-    out[0, 1] = osc * rho4[0, 1]
-    out[1, 0] = np.conj(osc) * rho4[1, 0]
-    out[2, 2] = rho4[2, 2] + (1.0 - el) * rho4[1, 1]
-    out[3, 3] = rho4[3, 3] + (1.0 - es) * rho4[0, 0]
+    out = np.zeros_like(rho)
+    out[0, 0] = es * rho[0, 0]
+    out[1, 1] = el * rho[1, 1]
+    out[0, 1] = osc * rho[0, 1]
+    out[1, 0] = np.conj(osc) * rho[1, 0]
+    out[2, 2] = rho[2, 2] + (1.0 - el) * rho[1, 1]
+    out[3, 3] = rho[3, 3] + (1.0 - es) * rho[0, 0]
     return out
 
 
@@ -140,30 +127,16 @@ def evolve_single_closed(rho, t: float, params: MesonParams) -> DensityMatrix:
     return DensityMatrix(_closed_map4(m, t, params))
 
 
-def _closed_superop_tensor(t: float, params: MesonParams) -> np.ndarray:
-    """K[i,j,k,l] with Phi(rho)[i,j] = sum_kl K[i,j,k,l] rho[k,l]."""
-    es = math.exp(-params.gamma_s * t)
-    el = math.exp(-params.gamma_l * t)
-    osc = np.exp((1j - params.gamma_mean) * t)
-    k = np.zeros((4, 4, 4, 4), dtype=complex)
-    k[0, 0, 0, 0] = es
-    k[1, 1, 1, 1] = el
-    k[0, 1, 0, 1] = osc
-    k[1, 0, 1, 0] = np.conj(osc)
-    k[2, 2, 2, 2] = 1.0
-    k[3, 3, 3, 3] = 1.0
-    k[2, 2, 1, 1] = 1.0 - el
-    k[3, 3, 0, 0] = 1.0 - es
-    return k
-
-
 def evolve_bipartite(rho, t: float, params: MesonParams) -> DensityMatrix:
     """Pair evolution: the single-particle map applied to each factor.
 
-    Each meson decays into its own environment, so the map factorizes and
-    product states stay products.  (The variant with one summed decay
-    generator is available through lindblad_integrate(summed_generator=True)
-    for comparison; it breaks this factorization.)
+    Each meson decays into its own environment, so the map factorizes,
+    Phi x Phi, and product states stay products.  It is applied one side at a
+    time: rho[(a, b), (c, d)] is viewed with the acting side's indices (a, c)
+    or (b, d) leading and _closed_map4 runs over them.  (The variant with one
+    summed decay generator is available through
+    lindblad_integrate(summed_generator=True) for comparison; it breaks this
+    factorization.)
     """
     _require_finite(t=t)
     if t < 0.0:
@@ -171,10 +144,9 @@ def evolve_bipartite(rho, t: float, params: MesonParams) -> DensityMatrix:
     m = _entries(rho)
     if m.shape != (16, 16):
         raise ValueError("expected a 16x16 pair state")
-    k = _closed_superop_tensor(t, params)
-    r = m.reshape(4, 4, 4, 4)
-    out = np.einsum("acpr,bdqs,pqrs->abcd", k, k, r).reshape(16, 16)
-    return DensityMatrix(out)
+    r = _closed_map4(m.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3), t, params)
+    r = _closed_map4(r.transpose(2, 3, 0, 1), t, params)
+    return DensityMatrix(r.transpose(2, 0, 3, 1).reshape(16, 16))
 
 
 def _generators(params: MesonParams, dim: int, summed: bool):
@@ -310,6 +282,11 @@ def singlet_vector() -> np.ndarray:
 def singlet_state() -> DensityMatrix:
     """Maximally entangled antisymmetric pair, embedded with empty decay slots."""
     return pure_density(singlet_vector())
+
+
+def _surviving_pair(rho) -> np.ndarray:
+    """Surviving x surviving 4x4 block of a 16-dim pair state."""
+    return _entries(rho).reshape(4, 4, 4, 4)[:2, :2, :2, :2].reshape(4, 4)
 
 
 @dataclass(frozen=True)

@@ -48,8 +48,23 @@ def binary_entropy(p: float) -> float:
     return h
 
 
-def _pair_vectors(pair: EigenPair):
-    return (pair.chi1, pair.chi2)
+def _max_overlap(pair1: EigenPair, pair2: EigenPair) -> tuple[float, tuple]:
+    """Largest |<chi_i|chi_j>| between two eigenvector pairs, with its (i, j).
+
+    Ties within 1e-12 resolve to the lowest (i, j) lexicographically.
+    """
+    best, arg = -1.0, (1, 1)
+    for i, u in enumerate((pair1.chi1, pair1.chi2), start=1):
+        for j, v in enumerate((pair2.chi1, pair2.chi2), start=1):
+            o = abs(np.vdot(u, v))
+            if o > best + 1e-12:
+                best, arg = o, (i, j)
+    return best, arg
+
+
+def _report(best: float, arg: tuple) -> UncertaintyReport:
+    return UncertaintyReport(bound=max(0.0, -2.0 * math.log2(min(best, 1.0))),
+                             max_overlap=best, argmax_pair=arg)
 
 
 def mu_bound(pair1: EigenPair, pair2: EigenPair) -> UncertaintyReport:
@@ -60,17 +75,10 @@ def mu_bound(pair1: EigenPair, pair2: EigenPair) -> UncertaintyReport:
     if pair1.basis != pair2.basis:
         raise ValueError("eigenvector pairs must share a basis")
     for pair in (pair1, pair2):
-        for chi in _pair_vectors(pair):
+        for chi in (pair.chi1, pair.chi2):
             if abs(np.linalg.norm(chi) - 1.0) > 1e-10:
                 raise ValueError("eigenvectors must be normalized")
-    best, arg = -1.0, (1, 1)
-    for i, u in enumerate(_pair_vectors(pair1), start=1):
-        for j, v in enumerate(_pair_vectors(pair2), start=1):
-            o = abs(np.vdot(u, v))
-            if o > best + 1e-12:
-                best, arg = o, (i, j)
-    return UncertaintyReport(bound=max(0.0, -2.0 * math.log2(min(best, 1.0))),
-                             max_overlap=best, argmax_pair=arg)
+    return _report(*_max_overlap(pair1, pair2))
 
 
 def eigen_overlap(q_n: Quasispin | tuple, t_n: float, q_m: Quasispin | tuple,
@@ -191,20 +199,13 @@ def bipartite_mu_bound(pair_a1: EigenPair, pair_a2: EigenPair,
                        pair_b1: EigenPair, pair_b2: EigenPair) -> UncertaintyReport:
     """Entropic bound between the product observables A1 x B1 and A2 x B2.
 
-    Product eigenbases factorize, so the sixteen candidate overlaps are the
-    products of one-sided overlaps; the maximum is enumerated exhaustively.
+    Product eigenbases factorize, so each of the sixteen candidate overlaps
+    is a product of one-sided overlaps and the maximum is the product of the
+    two one-sided maxima; argmax_pair is (i, j, k, l), sides A then B.
     """
-    best, arg = -1.0, (1, 1, 1, 1)
-    for i, u_a in enumerate(_pair_vectors(pair_a1), start=1):
-        for j, v_a in enumerate(_pair_vectors(pair_a2), start=1):
-            o_a = abs(np.vdot(u_a, v_a))
-            for k, u_b in enumerate(_pair_vectors(pair_b1), start=1):
-                for l, v_b in enumerate(_pair_vectors(pair_b2), start=1):
-                    o = o_a * abs(np.vdot(u_b, v_b))
-                    if o > best + 1e-12:
-                        best, arg = o, (i, j, k, l)
-    return UncertaintyReport(bound=max(0.0, -2.0 * math.log2(min(best, 1.0))),
-                             max_overlap=best, argmax_pair=arg)
+    best_a, arg_a = _max_overlap(pair_a1, pair_a2)
+    best_b, arg_b = _max_overlap(pair_b1, pair_b2)
+    return _report(best_a * best_b, arg_a + arg_b)
 
 
 def robertson_check(o1: ObservableMatrix, o2: ObservableMatrix,

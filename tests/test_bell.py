@@ -9,6 +9,7 @@ from mesonq import (
     singlet_state,
 )
 from mesonq.bell import BellSetting
+from mesonq.evolution import _surviving_pair
 
 SQRT2 = math.sqrt(2.0)
 
@@ -108,6 +109,10 @@ class TestChshValue:
         v = chsh_value(s, singlet4(), kaon)
         assert v.s >= abs(v.witness) - 1e-12
 
+    def test_non_finite_state_rejected(self, kaon):
+        with pytest.raises(ValueError, match="state entries must be finite"):
+            chsh_value(planar_setting(), np.full((4, 4), math.nan), kaon)
+
 
 class TestCpBellTest:
     def test_no_violation_without_cp_asymmetry(self):
@@ -139,6 +144,13 @@ class TestCpBellTest:
         want = 2.0 * math.sqrt(1.0 + d)
         assert rep.lambda_max_ks == pytest.approx(want, abs=1e-9)
         assert rep.lambda_max_kl == pytest.approx(want, abs=1e-9)
+
+    def test_singlet_is_strangeness_singlet(self):
+        # the surviving block of the pair singlet is (|01> - |10>)/sqrt(2)
+        # in every basis, so cp_bell_test reads it in the strangeness basis
+        v = np.array([0.0, 1.0, -1.0, 0.0]) / SQRT2
+        singlet = _surviving_pair(singlet_state())
+        assert np.abs(singlet - np.outer(v, v)).max() <= 1e-15
 
     def test_large_delta_rejected(self):
         with pytest.raises(ValueError):
@@ -199,6 +211,11 @@ class TestScanBell:
             scan_bell("all-equal", [], kaon)
         with pytest.raises(ValueError, match="sorted"):
             scan_bell("all-equal", [1.0, 0.5], kaon)
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="t_m must be finite"):
+                scan_bell("alternating-1", [0.0, bad], kaon)
+            with pytest.raises(ValueError, match="t_np must be finite"):
+                strangeness_setting(0.0, 0.0, bad, 0.0)
 
     def test_negative_times_rejected(self, kaon):
         with pytest.raises(ValueError):

@@ -52,6 +52,13 @@ class TestQuasispin:
         with pytest.raises(ValueError):
             Quasispin(math.pi + 0.1, 0.0)
 
+    def test_non_finite_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="alpha must be finite"):
+                Quasispin(bad, 0.0)
+            with pytest.raises(ValueError, match="phi must be finite"):
+                Quasispin(1.0, bad)
+
     def test_phi_wraps(self):
         assert Quasispin(1.0, 2.0 * math.pi + 0.5).phi == pytest.approx(0.5)
         assert Quasispin(1.0, -0.5).phi == pytest.approx(2.0 * math.pi - 0.5)

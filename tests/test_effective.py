@@ -87,6 +87,13 @@ class TestEffectiveOperator:
         with pytest.raises(ValueError):
             effective_operator(KS_DIRECTION, -0.1, kaon)
 
+    def test_non_finite_time_rejected(self, kaon):
+        for build in (effective_operator, effective_operator_cp,
+                      effective_operator_cp_exact):
+            for t in (math.nan, math.inf):
+                with pytest.raises(ValueError, match="t must be finite"):
+                    build(KS_DIRECTION, t, kaon)
+
 
 class TestSpectral:
     def test_chi1_at_zero_is_the_quasispin(self, kaon):
@@ -274,6 +281,14 @@ class TestExpectation:
             rho_t = evolve_single_closed(rho, t, kaon)
             p_yes = np.trace(quasispin_projector4(q) @ rho_t.entries).real
             assert abs(e_eff - (2.0 * p_yes - 1.0)) < 1e-10
+
+
+    def test_non_finite_state_rejected(self, kaon):
+        o = effective_operator(KS_DIRECTION, 0.5, kaon)
+        with pytest.raises(ValueError, match="state entries must be finite"):
+            expectation(o, np.full((2, 2), math.nan))
+        with pytest.raises(ValueError, match="state entries must be finite"):
+            bipartite_expectation(o, o, np.full((4, 4), math.nan))
 
 
 class TestBipartiteExpectation:

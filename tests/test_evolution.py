@@ -214,6 +214,30 @@ class TestBipartite:
             with pytest.raises(ValueError, match="t must be finite"):
                 evolve_bipartite(singlet_state(), t, kaon)
 
+    def test_matches_kron_of_single_maps(self, kaon, rng):
+        # test-local Phi x Phi: phi[a, c, p, r] = Phi(E_pr)[a, c] from the
+        # single-particle map on Hermitian combinations of the basis matrices
+        def single_map(t):
+            phi = np.zeros((4, 4, 4, 4), dtype=complex)
+            for p in range(4):
+                for r in range(4):
+                    e_pr, e_rp = np.zeros((4, 4)), np.zeros((4, 4))
+                    e_pr[p, r] = e_rp[r, p] = 1.0
+                    sym = evolve_single_closed(e_pr + e_rp, t, kaon).entries
+                    anti = evolve_single_closed(1j * (e_pr - e_rp), t, kaon).entries
+                    phi[:, :, p, r] = 0.5 * (sym - 1j * anti)
+            return phi
+
+        states = [singlet_state().entries, random_density(rng, 16)]
+        states += [pure_density(random_pure_state(rng, 16)).entries for _ in range(3)]
+        for t in (0.0, 0.3, 1.7, 6.0):
+            phi = single_map(t)
+            for rho in states:
+                want = np.einsum("acpr,bdqs,pqrs->abcd", phi, phi,
+                                 rho.reshape(4, 4, 4, 4), optimize=True)
+                out = evolve_bipartite(rho, t, kaon).entries
+                assert np.abs(out - want.reshape(16, 16)).max() <= 1e-15
+
     def test_singlet_unchanged_at_zero(self, kaon):
         psi = singlet_state()
         out = evolve_bipartite(psi, 0.0, kaon)

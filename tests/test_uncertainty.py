@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -264,14 +265,42 @@ class TestBipartiteMuBound:
         assert rep.bound == pytest.approx(-2.0 * math.log2(best), abs=1e-10)
 
     def test_factorizes_into_single_maxima(self, kaon, rng):
-        qs = [Quasispin(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-              for _ in range(4)]
-        pairs = [spectral(effective_operator(q, rng.uniform(0, 2), kaon))
-                 for q in qs]
-        rep = bipartite_mu_bound(*pairs)
-        side_a = mu_bound(pairs[0], pairs[1]).max_overlap
-        side_b = mu_bound(pairs[2], pairs[3]).max_overlap
-        assert rep.max_overlap == pytest.approx(side_a * side_b, abs=1e-12)
+        def exhaustive(pairs):
+            # all sixteen overlap products in lexicographic (i, j, k, l)
+            # order; a later product must win by more than 1e-12
+            best, arg = -1.0, None
+            for idx in itertools.product((1, 2), repeat=4):
+                u_a, v_a, u_b, v_b = ((p.chi1, p.chi2)[i - 1]
+                                      for p, i in zip(pairs, idx))
+                o = abs(np.vdot(u_a, v_a)) * abs(np.vdot(u_b, v_b))
+                if o > best + 1e-12:
+                    best, arg = o, idx
+            return best, arg
+
+        cases = []
+        for _ in range(20):
+            qs = [Quasispin(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+                  for _ in range(4)]
+            cases.append([spectral(effective_operator(q, rng.uniform(0, 2), kaon))
+                          for q in qs])
+        # exact ties: four identical t = 0 pairs, and the figure 3a/3b
+        # products (a1, a2, b1, b2) = (0, t1, t, 0) and (0, 0, t, t1), whose
+        # four pairs coincide at t = 0
+        for q in (STRANGENESS, KS_DIRECTION, Quasispin(1.0, 0.4)):
+            cases.append([spectral(effective_operator(q, 0.0, kaon))] * 4)
+        pair_0 = spectral(effective_operator(STRANGENESS, 0.0, kaon))
+        for t in (0.0, 0.02, 1.0):
+            pair_t = spectral(effective_operator(STRANGENESS, t, kaon))
+            for j in range(5):
+                pair_t1 = spectral(effective_operator(STRANGENESS, 0.25 * j * t, kaon))
+                cases.append([pair_0, pair_t1, pair_t, pair_0])
+                cases.append([pair_0, pair_0, pair_t, pair_t1])
+        for pairs in cases:
+            rep = bipartite_mu_bound(*pairs)
+            side_a = mu_bound(pairs[0], pairs[1])
+            side_b = mu_bound(pairs[2], pairs[3])
+            assert rep.max_overlap == side_a.max_overlap * side_b.max_overlap
+            assert (rep.max_overlap, rep.argmax_pair) == exhaustive(pairs)
 
 
 class TestRobertson:
