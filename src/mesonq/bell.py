@@ -20,7 +20,7 @@ from .core import (
 )
 from .effective import (
     ObservableMatrix, effective_operator, effective_operator_cp,
-    eigenpair_from_matrix, spectral, _pair_expectation,
+    eigenpair_from_matrix, spectral, _pair_expectation, _rank_one,
 )
 from .evolution import _surviving_pair, singlet_state
 from .uncertainty import bipartite_mu_bound
@@ -182,14 +182,11 @@ def cp_bell_test(delta: float, tol: float = 1e-9) -> CpBellReport:
     # (|01> - |10>)/sqrt(2) keeps its form in every basis, strangeness included
     singlet = _surviving_pair(singlet_state())
 
-    def observable(state):
-        return 2.0 * np.outer(state, state.conj()) - np.eye(2)
-
-    o_k0bar = observable(k0bar_state())
-    o_k1 = observable(k1_state())
+    o_k0bar = _rank_one(k0bar_state())
+    o_k1 = _rank_one(k1_state())
 
     def run(first_state):
-        ops = (observable(first_state), o_k0bar, o_k1, o_k1)
+        ops = (_rank_one(first_state), o_k0bar, o_k1, o_k1)
         lam_max = float(hermitian_eigen(_witness(*ops)).eigenvalues[0])
         return _chsh(*ops, singlet).s, lam_max
 

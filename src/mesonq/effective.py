@@ -1,10 +1,17 @@
 """Heisenberg-picture observables for the question "quasispin k at time t, or not".
 
-A single 2x2 Hermitian operator O(k, t) = -n0*1 + n.sigma encodes the yes/no
-measurement including decay losses: the "no" outcome absorbs everything that
-decayed before t, so Tr(O rho0) = P(yes) - P(no) for any initial state rho0
-on the surviving space.  Only the Bloch length shrinks with time; one
-eigenvalue stays pinned at -1 for every setting.
+Every such question is one rank-one construction.  The amplitudes a of k
+over the lifetime states are propagated to the detection time,
+
+    w = (a_S e^{-Gamma_S t/2}, a_L e^{i t - Gamma_L t/2}),
+
+and the observable is O = 2|w><w| - 1 = -n0*1 + n.sigma.  The "no" outcome
+absorbs everything that decayed before t, so Tr(O rho0) = P(yes) - P(no)
+for any initial state rho0 on the surviving space.  Its spectrum is
+2|w|^2 - 1 on w and -1 on the orthogonal complement of w: only the Bloch
+length |n| = |w|^2 shrinks with time, and one eigenvalue stays pinned at -1
+for every setting.  Every factor in w is at most one, so nothing overflows
+at long times.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    CP_TO_STRANGENESS, ID2, PAULI, CpBasisData, MesonParams, Quasispin,
+    CP_TO_STRANGENESS, ID2, CpBasisData, MesonParams, Quasispin,
     cp_basis_data, hermitian_eigen, ks_state, kl_state,
     mass_to_strangeness_matrix, _canonical_phase, _entries, _require_finite,
 )
@@ -59,78 +66,83 @@ class EigenPair:
     basis: str = "mass"
 
 
-def bloch_vector(q: Quasispin, t: float, params: MesonParams) -> tuple[float, np.ndarray]:
-    """Bloch data (n0, n) of the effective observable.
+def _propagate(amps, t: float, params: MesonParams) -> np.ndarray:
+    """Amplitudes over (K_S, K_L) carried to the detection time t >= 0.
 
+    Each picks up its decay factor e^{-Gamma_i t/2}, and the K_L amplitude
+    also the oscillation phase e^{i t}.
+    """
+    _require_finite(t=t)
+    if t < 0.0:
+        raise ValueError("observables live at detection times t >= 0")
+    return np.array([amps[0] * math.exp(-0.5 * params.gamma_s * t),
+                     amps[1] * cmath.exp(1j * t - 0.5 * params.gamma_l * t)])
+
+
+def _rank_one(w: np.ndarray) -> np.ndarray:
+    """2|w><w| - 1: the yes/no observable whose "yes" direction is w."""
+    return 2.0 * np.outer(w, w.conj()) - ID2
+
+
+def _bloch(w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Bloch data (n0, n) of 2|w><w| - 1; |n| = |w|^2 and n0 = 1 - |w|^2."""
+    c = 2.0 * w[0].conjugate() * w[1]
+    a_s, a_l = abs(w[0]) ** 2, abs(w[1]) ** 2
+    return 1.0 - (a_s + a_l), np.array([c.real, c.imag, a_s - a_l])
+
+
+def _pair(w: np.ndarray, basis: str) -> EigenPair:
+    """Eigenpair of 2|w><w| - 1: w/|w| at 2|w|^2 - 1, (-w_L*, w_S*)/|w| at -1.
+
+    Once |w|^2 falls below the degeneracy tolerance both eigenvalues are -1
+    and the standard basis is returned.
+    """
+    norm = float(np.linalg.norm(w))
+    weight = norm * norm
+    if weight < _DEGENERACY_TOL:
+        return EigenPair(lambda1=-1.0, chi1=np.array([1.0 + 0j, 0.0]),
+                         lambda2=-1.0, chi2=np.array([0.0, 1.0 + 0j]),
+                         degenerate=True, basis=basis)
+    chi2 = np.array([-w[1].conjugate(), w[0].conjugate()])
+    return EigenPair(lambda1=2.0 * weight - 1.0,
+                     chi1=_canonical_phase(w / norm), lambda2=-1.0,
+                     chi2=_canonical_phase(chi2 / norm), basis=basis)
+
+
+def bloch_vector(q: Quasispin, t: float, params: MesonParams) -> tuple[float, np.ndarray]:
+    """Bloch data (n0, n) of the effective observable, t >= 0.
+
+    Read off the propagated amplitudes; in closed form
     n = e^{-Gamma t} (cos(t+phi) sin a, sin(t+phi) sin a,
                       sinh(dGamma t) + cosh(dGamma t) cos a)
-    and n0 = 1 - |n|.  Negative t is allowed (needed by the backward-in-time
-    eigenvector); only for t >= 0 is |n| <= 1 guaranteed.
+    and n0 = 1 - |n|, with |n| <= 1.
     """
-    a, phi = q.alpha, q.phi
-    g, dg = params.gamma_mean, params.delta_gamma
-    damp = math.exp(-g * t)
-    n = damp * np.array([
-        math.cos(t + phi) * math.sin(a),
-        math.sin(t + phi) * math.sin(a),
-        math.sinh(dg * t) + math.cosh(dg * t) * math.cos(a),
-    ])
-    return 1.0 - float(np.linalg.norm(n)), n
-
-
-def _matrix_from_bloch(n0: float, n: np.ndarray) -> np.ndarray:
-    m = -n0 * ID2.copy()
-    for ni, sigma in zip(n, PAULI):
-        m = m + ni * sigma
-    return m
+    return _bloch(_propagate(q.state_mass(), t, params))
 
 
 def effective_operator(q: Quasispin, t: float, params: MesonParams) -> ObservableMatrix:
     """Effective yes/no observable in the mass basis (CP asymmetry neglected)."""
-    _require_finite(t=t)
-    if t < 0.0:
-        raise ValueError("observables live at detection times t >= 0")
-    n0, n = bloch_vector(q, t, params)
-    return ObservableMatrix(matrix=_matrix_from_bloch(n0, n), n0=n0, bloch=n,
+    w = _propagate(q.state_mass(), t, params)
+    n0, n = _bloch(w)
+    return ObservableMatrix(matrix=_rank_one(w), n0=n0, bloch=n,
                             quasispin=q, time=t, params=params)
-
-
-def _chi(alpha: float, phi: float, t: float, params: MesonParams) -> np.ndarray:
-    """Quasispin propagated to time t, renormalized to the surviving sector.
-
-    Amplitudes pick up e^{-Gamma_i t/2} and the K_L component the oscillation
-    phase e^{i t}.  Angles are raw (alpha may exceed pi, t may be negative).
-    """
-    c, s = math.cos(0.5 * alpha), math.sin(0.5 * alpha)
-    v = np.array([
-        c * math.exp(-0.5 * params.gamma_s * t),
-        s * cmath.exp(1j * (t + phi)) * math.exp(-0.5 * params.gamma_l * t),
-    ])
-    return v / np.linalg.norm(v)
 
 
 def spectral(o: ObservableMatrix) -> EigenPair:
     """Spectral decomposition lambda1 |chi1><chi1| + (-1) |chi2><chi2|.
 
-    chi1 is the forward-propagated quasispin, chi2 the orthogonal
-    backward-in-time partner chi(alpha+pi, phi+2t, -t).
+    chi1 is the forward-propagated quasispin w/|w|; chi2 its orthogonal
+    complement, which the paper reads as the backward-in-time partner
+    chi(alpha+pi, phi+2t, -t).  Both are checked against o.matrix.
     """
     if o.cp_corrected:
         return cp_eigenvectors(o.quasispin, o.time, o.params)
-    q, t, params = o.quasispin, o.time, o.params
-    nlen = float(np.linalg.norm(o.bloch))
-    if nlen < _DEGENERACY_TOL:
-        return EigenPair(lambda1=-1.0, chi1=np.array([1.0 + 0j, 0.0]),
-                         lambda2=-1.0, chi2=np.array([0.0, 1.0 + 0j]),
-                         degenerate=True, basis=o.basis)
-    chi1 = _canonical_phase(_chi(q.alpha, q.phi, t, params))
-    chi2 = _canonical_phase(_chi(q.alpha + math.pi, q.phi + 2.0 * t, -t, params))
-    lam1 = 2.0 * nlen - 1.0
-    for lam, chi in ((lam1, chi1), (-1.0, chi2)):
-        if np.linalg.norm(o.matrix @ chi - lam * chi) > _RESIDUAL_TOL:
+    pair = _pair(_propagate(o.quasispin.state_mass(), o.time, o.params),
+                 o.basis)
+    for lam, chi in ((pair.lambda1, pair.chi1), (pair.lambda2, pair.chi2)):
+        if not np.linalg.norm(o.matrix @ chi - lam * chi) <= _RESIDUAL_TOL:
             raise AssertionError("analytic eigenvector failed the residual check")
-    return EigenPair(lambda1=lam1, chi1=chi1, lambda2=-1.0, chi2=chi2,
-                     basis=o.basis)
+    return pair
 
 
 def _quasispin_strangeness(q: Quasispin, cp: CpBasisData, q_basis: str) -> np.ndarray:
@@ -161,32 +173,21 @@ def cp_weights(q: Quasispin, params: MesonParams,
 def effective_operator_cp(q: Quasispin, t: float, params: MesonParams) -> ObservableMatrix:
     """Effective observable with CP corrections, in the orthonormal CP basis.
 
-    The Bloch corrections are polynomial in delta through second order:
+    Built as 2|w><w| - 1 from the propagated overlap amplitudes
+    (<K_S|k>, <K_L|k>) of cp_weights; the quasispin angles refer to the
+    mass basis.  Expanded in delta, its Bloch vector is the plain one plus
 
       n1 += e^{-Gamma t} (2 delta cos t + delta^2 sin a cos(t - phi))
       n2 += e^{-Gamma t} (2 delta sin t + delta^2 sin a sin(t - phi))
       n3 += delta (e^{-Gs t} - e^{-Gl t}) sin a cos phi
             + delta^2/2 (e^{-Gs t} - e^{-Gl t} - (e^{-Gs t} + e^{-Gl t}) cos a)
 
-    which is exactly the Bloch vector of the propagated overlap amplitudes
-    (<K_S|k>, <K_L|k>); the quasispin angles refer to the mass basis.
+    and the expansion is exact: no higher order of delta appears.
     """
-    _require_finite(t=t)
-    if t < 0.0:
-        raise ValueError("observables live at detection times t >= 0")
-    a, phi, d = q.alpha, q.phi, params.delta
-    gs, gl = params.gamma_s, params.gamma_l
-    _, n = bloch_vector(q, t, params)
-    damp = math.exp(-params.gamma_mean * t)
-    es, el = math.exp(-gs * t), math.exp(-gl * t)
-    n = n + np.array([
-        damp * (2.0 * d * math.cos(t) + d * d * math.sin(a) * math.cos(t - phi)),
-        damp * (2.0 * d * math.sin(t) + d * d * math.sin(a) * math.sin(t - phi)),
-        d * (es - el) * math.sin(a) * math.cos(phi)
-        + 0.5 * d * d * (es - el - (es + el) * math.cos(a)),
-    ])
-    n0 = 1.0 - float(np.linalg.norm(n))
-    return ObservableMatrix(matrix=_matrix_from_bloch(n0, n), n0=n0, bloch=n,
+    amp_s, amp_l, _ = cp_weights(q, params)
+    w = _propagate((amp_s, amp_l), t, params)
+    n0, n = _bloch(w)
+    return ObservableMatrix(matrix=_rank_one(w), n0=n0, bloch=n,
                             quasispin=q, time=t, params=params,
                             cp_corrected=True, basis="cp")
 
@@ -197,45 +198,31 @@ def effective_operator_cp_exact(q: Quasispin, t: float,
 
     Propagates with the true non-orthogonal-basis map M = V D V^{-1} (V holds
     the p,q mass eigenstates, D the decay/oscillation factors) and returns
-    2 M^dag |k><k| M - 1.  Differs from the polynomial form at first order in
-    delta because the latter expands states over <K_i| overlaps instead of the
-    inverse-basis coefficients; the comparison test documents the gap.
+    2 M^dag |k><k| M - 1.  Differs from the overlap-amplitude form at first
+    order in delta because the latter expands states over <K_i| overlaps
+    instead of the inverse-basis coefficients; the comparison test documents
+    the gap.
     """
-    _require_finite(t=t)
-    if t < 0.0:
-        raise ValueError("observables live at detection times t >= 0")
     cp = cp_basis_data(params.delta)
     v = np.linalg.inv(CP_TO_STRANGENESS) @ mass_to_strangeness_matrix(cp)
-    d = np.diag([cmath.exp(-0.5 * params.gamma_s * t),
-                 cmath.exp(1j * t - 0.5 * params.gamma_l * t)])
     # oscillation phase on K_L relative to K_S; amplitudes decay as e^{-G t/2}
+    d = np.diag(_propagate(np.ones(2), t, params))
     m = v @ d.conj() @ np.linalg.inv(v)
     k_cp = np.linalg.inv(CP_TO_STRANGENESS) @ _quasispin_strangeness(q, cp, "mass")
-    w = m.conj().T @ k_cp
-    return 2.0 * np.outer(w, w.conj()) - ID2
+    return _rank_one(m.conj().T @ k_cp)
 
 
 def cp_eigenvectors(q: Quasispin, t: float, params: MesonParams,
                     q_basis: str = "mass") -> EigenPair:
     """CP-corrected eigenvector pair, components in the CP basis.
 
-    chi1 carries the forward factors e^{-Gamma_i t/2} (K_L also e^{i t}) on
-    the overlap amplitudes; chi2 the conjugated amplitudes with inverted
-    decay factors.  Both are normalized to unit length and are exactly
-    orthogonal for every delta and t.
+    chi1 is the propagated overlap amplitude vector w of cp_weights,
+    normalized; chi2 its orthogonal complement, which equals the conjugated
+    amplitudes with inverted decay factors.  Both have unit length and are
+    exactly orthogonal for every delta and t >= 0; lambda1 = 2|w|^2 - 1.
     """
     amp_s, amp_l, _ = cp_weights(q, params, q_basis)
-    gs_half, gl_half = 0.5 * params.gamma_s * t, 0.5 * params.gamma_l * t
-    chi1 = np.array([amp_s * math.exp(-gs_half),
-                     amp_l * cmath.exp(1j * t - gl_half)])
-    weight = float(np.linalg.norm(chi1)) ** 2  # the time-t overlap weight sum
-    chi1 = chi1 / math.sqrt(weight)
-    chi2 = np.array([-amp_l.conjugate() * math.exp(gs_half),
-                     amp_s.conjugate() * cmath.exp(1j * t + gl_half)])
-    chi2 = chi2 / np.linalg.norm(chi2)
-    return EigenPair(lambda1=2.0 * weight - 1.0,
-                     chi1=_canonical_phase(chi1),
-                     lambda2=-1.0, chi2=_canonical_phase(chi2), basis="cp")
+    return _pair(_propagate((amp_s, amp_l), t, params), "cp")
 
 
 def eigenpair_from_matrix(m: np.ndarray, basis: str = "mass",

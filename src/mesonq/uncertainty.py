@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MesonParams, Quasispin
+from .core import MesonParams, Quasispin, _require_finite
 from .effective import EigenPair, ObservableMatrix
 
 __all__ = [
@@ -37,7 +37,7 @@ class UncertaintyReport:
 
 def binary_entropy(p: float) -> float:
     """Shannon entropy of a (p, 1-p) coin in bits, with 0 log 0 := 0."""
-    if p < -1e-12 or p > 1.0 + 1e-12:
+    if not -1e-12 <= p <= 1.0 + 1e-12:
         raise ValueError("probability outside [0, 1]")
     p = min(max(p, 0.0), 1.0)
     h = 0.0
@@ -76,7 +76,7 @@ def mu_bound(pair1: EigenPair, pair2: EigenPair) -> UncertaintyReport:
         raise ValueError("eigenvector pairs must share a basis")
     for pair in (pair1, pair2):
         for chi in (pair.chi1, pair.chi2):
-            if abs(np.linalg.norm(chi) - 1.0) > 1e-10:
+            if not abs(np.linalg.norm(chi) - 1.0) <= 1e-10:
                 raise ValueError("eigenvectors must be normalized")
     return _report(*_max_overlap(pair1, pair2))
 
@@ -87,18 +87,20 @@ def eigen_overlap(q_n: Quasispin | tuple, t_n: float, q_m: Quasispin | tuple,
 
     Accepts raw (alpha, phi) tuples so the backward-in-time arguments
     (alpha+pi, phi+2t, -t) can be fed directly.  Valid for delta = 0.
+    Numerator and denominator carry the common factor e^{dGamma (t_n+t_m)},
+    which keeps every exponential at most one for t_n, t_m >= 0.
     """
     a_n, p_n = (q_n.alpha, q_n.phi) if isinstance(q_n, Quasispin) else q_n
     a_m, p_m = (q_m.alpha, q_m.phi) if isinstance(q_m, Quasispin) else q_m
+    _require_finite(alpha_n=a_n, phi_n=p_n, t_n=t_n,
+                    alpha_m=a_m, phi_m=p_m, t_m=t_m)
     dg = params.delta_gamma
-    num = (math.cos(0.5 * a_n) * math.cos(0.5 * a_m)
-           + math.sin(0.5 * a_n) * math.sin(0.5 * a_m)
-           * np.exp(1j * (t_m - t_n + p_m - p_n)) * math.exp(-dg * (t_n + t_m)))
-    den = 0.5 * math.sqrt(
-        1.0 + math.exp(-2.0 * dg * t_n)
-        + math.cos(a_n) * (1.0 - math.exp(-2.0 * dg * t_n))) * math.sqrt(
-        1.0 + math.exp(-2.0 * dg * t_m)
-        + math.cos(a_m) * (1.0 - math.exp(-2.0 * dg * t_m)))
+    c_n, s_n = math.cos(0.5 * a_n), math.sin(0.5 * a_n)
+    c_m, s_m = math.cos(0.5 * a_m), math.sin(0.5 * a_m)
+    num = (c_n * c_m * math.exp(dg * (t_n + t_m))
+           + s_n * s_m * np.exp(1j * (t_m - t_n + p_m - p_n)))
+    den = (math.sqrt(c_n * c_n * math.exp(2.0 * dg * t_n) + s_n * s_n)
+           * math.sqrt(c_m * c_m * math.exp(2.0 * dg * t_m) + s_m * s_m))
     return complex(num / den)
 
 
@@ -108,6 +110,7 @@ def cp_overlap_ks(t_n: float, params: MesonParams) -> float:
     |e^{-Gs t/2} + d^2 e^{-i t} e^{-Gl t/2}|
     / sqrt((1 + d^2)(e^{-Gs t} + d^2 e^{-Gl t})), with d the CP asymmetry.
     """
+    _require_finite(t_n=t_n)
     d2 = params.delta * params.delta
     num = abs(math.exp(-0.5 * params.gamma_s * t_n)
               + d2 * np.exp(-1j * t_n) * math.exp(-0.5 * params.gamma_l * t_n))
@@ -212,7 +215,7 @@ def robertson_check(o1: ObservableMatrix, o2: ObservableMatrix,
                     psi: np.ndarray) -> tuple[float, float]:
     """Both sides of dO1 * dO2 >= |<psi|[O1, O2]|psi>| / 2."""
     psi = np.asarray(psi, dtype=complex)
-    if psi.shape != (2,) or abs(np.linalg.norm(psi) - 1.0) > 1e-10:
+    if psi.shape != (2,) or not abs(np.linalg.norm(psi) - 1.0) <= 1e-10:
         raise ValueError("psi must be a normalized two-component state")
     m1, m2 = o1.matrix, o2.matrix
 

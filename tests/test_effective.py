@@ -3,17 +3,59 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mesonq import (
     KS_DIRECTION, MesonParams, Quasispin, bipartite_expectation,
-    bloch_vector, cp_eigenvectors, cp_weights, effective_operator,
-    effective_operator_cp, expectation, hermitian_eigen, spectral,
+    bloch_vector, bmeson_defaults, cp_eigenvectors, cp_weights,
+    effective_operator, effective_operator_cp, expectation, hermitian_eigen,
+    joint_probabilities, kaon_defaults, singlet_state, spectral,
 )
 from mesonq.core import PAULI_X
 from mesonq.effective import ObservableMatrix, effective_operator_cp_exact
-from mesonq.evolution import evolve_single_closed, quasispin_projector4
+from mesonq.evolution import (
+    _surviving_pair, evolve_single_closed, quasispin_projector4,
+)
 
 from conftest import random_density
+
+
+# Test-local forms of the paper's formulas; the library builds every
+# observable from the propagated amplitudes instead.
+
+def _trig_bloch(q, t, params):
+    """n = e^{-Gamma t} (cos(t+phi) sin a, sin(t+phi) sin a,
+    sinh(dGamma t) + cosh(dGamma t) cos a)."""
+    a, phi, dg = q.alpha, q.phi, params.delta_gamma
+    return math.exp(-params.gamma_mean * t) * np.array([
+        math.cos(t + phi) * math.sin(a),
+        math.sin(t + phi) * math.sin(a),
+        math.sinh(dg * t) + math.cosh(dg * t) * math.cos(a),
+    ])
+
+
+def _cp_polynomial_bloch(q, t, params):
+    """Plain Bloch vector plus the paper's delta-polynomial CP corrections."""
+    a, phi, d = q.alpha, q.phi, params.delta
+    damp = math.exp(-params.gamma_mean * t)
+    es, el = math.exp(-params.gamma_s * t), math.exp(-params.gamma_l * t)
+    return _trig_bloch(q, t, params) + np.array([
+        damp * (2.0 * d * math.cos(t) + d * d * math.sin(a) * math.cos(t - phi)),
+        damp * (2.0 * d * math.sin(t) + d * d * math.sin(a) * math.sin(t - phi)),
+        d * (es - el) * math.sin(a) * math.cos(phi)
+        + 0.5 * d * d * (es - el - (es + el) * math.cos(a)),
+    ])
+
+
+def _backward_chi(alpha, phi, t, params):
+    """Quasispin (raw angles) propagated by t, which may be negative, normalized."""
+    v = np.array([
+        math.cos(0.5 * alpha) * math.exp(-0.5 * params.gamma_s * t),
+        math.sin(0.5 * alpha) * cmath.exp(1j * (t + phi))
+        * math.exp(-0.5 * params.gamma_l * t),
+    ])
+    return v / np.linalg.norm(v)
 
 
 class TestBlochVector:
@@ -45,6 +87,7 @@ class TestBlochVector:
             want = (math.cos(0.5 * a) ** 2 * math.exp(-kaon.gamma_s * t)
                     + math.sin(0.5 * a) ** 2 * math.exp(-kaon.gamma_l * t))
             assert np.linalg.norm(n) == pytest.approx(want, abs=1e-13)
+            assert np.abs(n - _trig_bloch(Quasispin(a, phi), t, kaon)).max() < 1e-13
 
     def test_length_shrinks_for_equal_widths(self, bmeson):
         q = Quasispin(1.0, 0.4)
@@ -110,10 +153,14 @@ class TestSpectral:
     def test_orthonormality(self, kaon, rng):
         for _ in range(20):
             q = Quasispin(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            pair = spectral(effective_operator(q, rng.uniform(0, 4), kaon))
+            t = rng.uniform(0, 5)
+            pair = spectral(effective_operator(q, t, kaon))
             assert abs(np.vdot(pair.chi1, pair.chi2)) < 1e-12
             assert np.linalg.norm(pair.chi1) == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.norm(pair.chi2) == pytest.approx(1.0, abs=1e-12)
+            # the paper's reading of chi2: chi(alpha + pi, phi + 2t, -t)
+            back = _backward_chi(q.alpha + math.pi, q.phi + 2.0 * t, -t, kaon)
+            assert abs(abs(np.vdot(pair.chi2, back)) - 1.0) < 1e-12
 
     def test_matches_numeric_eigensolver(self, kaon, rng):
         for _ in range(10):
@@ -138,12 +185,33 @@ class TestSpectral:
         assert abs(abs(np.vdot(pair.chi1, amps)) - 1.0) < 1e-12
 
     def test_degenerate_flag(self, kaon):
+        # K_S has decayed below the float range by t = 2000: O = -1
         o = ObservableMatrix(matrix=-np.eye(2, dtype=complex), n0=1.0,
                              bloch=np.zeros(3), quasispin=KS_DIRECTION,
-                             time=0.0, params=kaon)
+                             time=2000.0, params=kaon)
+        assert np.array_equal(effective_operator(KS_DIRECTION, 2000.0, kaon).matrix,
+                              o.matrix)
         pair = spectral(o)
         assert pair.degenerate
         assert abs(np.vdot(pair.chi1, pair.chi2)) < 1e-12
+
+    def test_long_time_repro_cases(self, kaon):
+        # times at which the inverted decay factors e^{+Gamma_i t/2} of the
+        # backward-in-time chi2 overflow its norm (t = 400) or themselves
+        q = Quasispin(1.0, 0.3)
+        cases = []
+        for t in (400.0, 800.0):
+            o = effective_operator(q, t, kaon)
+            cases.append((o, spectral(o)))
+        cases.append((effective_operator_cp(q, 700.0, kaon),
+                      cp_eigenvectors(q, 700.0, kaon)))
+        for o, pair in cases:
+            assert not pair.degenerate
+            for lam, chi in ((pair.lambda1, pair.chi1), (pair.lambda2, pair.chi2)):
+                assert np.isfinite(chi).all()
+                assert np.linalg.norm(chi) == pytest.approx(1.0, abs=1e-12)
+                assert np.linalg.norm(o.matrix @ chi - lam * chi) < 1e-12
+            assert abs(np.vdot(pair.chi1, pair.chi2)) < 1e-12
 
 
 class TestCpOperator:
@@ -184,6 +252,7 @@ class TestCpOperator:
                              abs(w[0]) ** 2 - abs(w[1]) ** 2])
             o = effective_operator_cp(q, t, kaon)
             assert np.abs(o.bloch - want).max() < 1e-13
+            assert np.abs(o.bloch - _cp_polynomial_bloch(q, t, kaon)).max() < 1e-13
 
     def test_gap_to_exact_projector_route_is_first_order(self, kaon):
         # the overlap-amplitude form differs from the exact skew-basis
@@ -219,10 +288,18 @@ class TestCpEigenvectors:
     def test_orthonormal_for_nonzero_delta(self, kaon, rng):
         for _ in range(15):
             q = Quasispin(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
-            pair = cp_eigenvectors(q, rng.uniform(0, 5), kaon)
+            t = rng.uniform(0, 5)
+            pair = cp_eigenvectors(q, t, kaon)
             assert abs(np.vdot(pair.chi1, pair.chi2)) < 1e-12
             assert np.linalg.norm(pair.chi1) == pytest.approx(1.0, abs=1e-12)
             assert np.linalg.norm(pair.chi2) == pytest.approx(1.0, abs=1e-12)
+            # chi2 is the conjugated overlap amplitudes with inverted decay
+            amp_s, amp_l, _ = cp_weights(q, kaon)
+            inverted = np.array([
+                -amp_l.conjugate() * math.exp(0.5 * kaon.gamma_s * t),
+                amp_s.conjugate() * cmath.exp(1j * t + 0.5 * kaon.gamma_l * t)])
+            inverted /= np.linalg.norm(inverted)
+            assert abs(abs(np.vdot(pair.chi2, inverted)) - 1.0) < 1e-12
 
     def test_chi1_is_eigenvector_of_cp_operator(self, kaon):
         pair = cp_eigenvectors(KS_DIRECTION, 1.0, kaon)
@@ -309,3 +386,51 @@ class TestBipartiteExpectation:
             q = Quasispin(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             o = effective_operator(q, 0.0, kaon)
             assert bipartite_expectation(o, o, rho) == pytest.approx(-1.0, abs=1e-12)
+
+
+PRESETS = {"kaon": kaon_defaults(), "bmeson": bmeson_defaults()}
+LONG_TIME = st.floats(0.0, 2000.0)
+ALPHA = st.floats(0.0, math.pi)
+PHI = st.floats(0.0, 2.0 * math.pi)
+
+
+class TestLongTimes:
+    """Over t in [0, 2000] dm, about seven K_L lifetimes of the kaon."""
+
+    @given(preset=st.sampled_from(sorted(PRESETS)), cp=st.booleans(),
+           alpha=ALPHA, phi=PHI, t=LONG_TIME)
+    @settings(max_examples=300, deadline=None)
+    def test_spectrum_stays_finite(self, preset, cp, alpha, phi, t):
+        params = PRESETS[preset]
+        build = effective_operator_cp if cp else effective_operator
+        o = build(Quasispin(alpha, phi), t, params)
+        pair = spectral(o)
+        assert pair.lambda2 == -1.0
+        # |n| is the overlap weight sum; in the skew mass basis the quasispin
+        # state has squared norm up to 1 + |delta|, and its overlaps with the
+        # mass eigenstates sum to at most 1 + |delta| times that
+        bound = (1.0 + abs(params.delta)) ** 2 if cp else 1.0
+        assert np.linalg.norm(o.bloch) <= bound + 1e-12
+        for chi in (pair.chi1, pair.chi2):
+            assert np.isfinite(chi).all()
+            assert np.linalg.norm(chi) == pytest.approx(1.0, abs=1e-12)
+        assert abs(np.vdot(pair.chi1, pair.chi2)) <= 1e-12
+        assert hermitian_eigen(o.matrix).eigenvalues[1] == pytest.approx(
+            -1.0, abs=1e-12)
+
+    @given(preset=st.sampled_from(sorted(PRESETS)), alpha_n=ALPHA, phi_n=PHI,
+           alpha_m=ALPHA, phi_m=PHI, t1=LONG_TIME, t2=LONG_TIME)
+    @settings(max_examples=100, deadline=None)
+    def test_effective_matches_joint_probabilities(self, preset, alpha_n, phi_n,
+                                                   alpha_m, phi_m, t1, t2):
+        # joint_probabilities works in the mass basis without CP asymmetry,
+        # so it is the reference for the plain operator
+        params = PRESETS[preset]
+        q_n, q_m = Quasispin(alpha_n, phi_n), Quasispin(alpha_m, phi_m)
+        t_m, t_n = sorted((t1, t2))
+        psi = singlet_state()
+        jo = joint_probabilities(psi, q_n, t_n, q_m, t_m, params)
+        e_eff = bipartite_expectation(effective_operator(q_n, t_n, params),
+                                      effective_operator(q_m, t_m, params),
+                                      _surviving_pair(psi))
+        assert abs(jo.expectation - e_eff) <= 1e-9

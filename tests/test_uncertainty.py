@@ -39,6 +39,8 @@ class TestBinaryEntropy:
             binary_entropy(-0.01)
         with pytest.raises(ValueError):
             binary_entropy(1.01)
+        with pytest.raises(ValueError):
+            binary_entropy(math.nan)
 
     @given(p=st.floats(0.0, 1.0))
     @settings(max_examples=50, deadline=None)
@@ -76,6 +78,10 @@ class TestMuBound:
                         chi2=pair.chi2)
         with pytest.raises(ValueError, match="normalized"):
             mu_bound(bad, pair)
+        nan = EigenPair(lambda1=1.0, chi1=np.full(2, math.nan), lambda2=-1.0,
+                        chi2=pair.chi2)
+        with pytest.raises(ValueError, match="normalized"):
+            mu_bound(pair, nan)
 
     def test_rejects_mixed_bases(self, kaon):
         a = spectral(effective_operator(STRANGENESS, 0.0, kaon))
@@ -108,8 +114,22 @@ class TestMuBound:
 
 class TestEigenOverlap:
     def test_identical_arguments(self, kaon):
-        o = eigen_overlap(STRANGENESS, 1.0, STRANGENESS, 1.0, kaon)
-        assert o == pytest.approx(1.0, abs=1e-12)
+        # from t = 400 on, e^{-dGamma (t_n + t_m)} alone leaves the float range
+        for q, t in ((STRANGENESS, 1.0), (Quasispin(1.0, 0.3), 400.0),
+                     (Quasispin(1.0, 0.3), 2000.0)):
+            o = eigen_overlap(q, t, q, t, kaon)
+            assert o == pytest.approx(1.0, abs=1e-12)
+
+    def test_non_finite_input_rejected(self, kaon):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="t_n must be finite"):
+                eigen_overlap(STRANGENESS, bad, STRANGENESS, 1.0, kaon)
+            with pytest.raises(ValueError, match="t_m must be finite"):
+                eigen_overlap(STRANGENESS, 1.0, STRANGENESS, bad, kaon)
+            with pytest.raises(ValueError, match="alpha_n must be finite"):
+                eigen_overlap((bad, 0.0), 1.0, STRANGENESS, 1.0, kaon)
+            with pytest.raises(ValueError, match="t_n must be finite"):
+                cp_overlap_ks(bad, kaon)
 
     def test_equal_width_cosine_law(self, stable):
         for t in (0.3, 1.0, 2.5, math.pi):
@@ -331,6 +351,9 @@ class TestRobertson:
         o = effective_operator(STRANGENESS, 0.0, kaon)
         with pytest.raises(ValueError):
             robertson_check(o, o, np.array([1.0, 1.0]))
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                robertson_check(o, o, np.array([bad, 0.0]))
 
 
 class TestBoundStructure:
