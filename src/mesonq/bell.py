@@ -5,6 +5,11 @@ inequality into an eigenvalue problem: its extremal eigenvalues are the
 quantum-reachable bounds over all initial states, with |Tr(Bell rho)| <= 2
 for every local-realistic model.  Detection times enter through the effective
 observables, so decay and oscillation compete inside one 4x4 matrix.
+
+Bounds are computed for a whole array of detection times at once: the
+observables, witnesses and summand eigenbases are stacked with time on the
+leading axis, so a time scan solves one batched eigenvalue problem, and a
+single setting is the one-row case.
 """
 
 from __future__ import annotations
@@ -16,14 +21,14 @@ import numpy as np
 
 from .core import (
     K0BAR_DIRECTION, MesonParams, Quasispin, cp_basis_data, hermitian_eigen,
-    k0bar_state, k1_state, kl_state, ks_state, _entries, _require_finite,
+    k0bar_state, k1_state, kl_state, ks_state, _entries, _require_hermitian,
 )
 from .effective import (
-    ObservableMatrix, effective_operator, effective_operator_cp,
-    eigenpair_from_matrix, spectral, _pair_expectation, _rank_one,
+    ObservableMatrix, cp_weights, effective_operator, effective_operator_cp,
+    _eigenvectors, _pair_expectation, _propagate, _rank_one,
 )
 from .evolution import _surviving_pair, singlet_state
-from .uncertainty import bipartite_mu_bound
+from .uncertainty import _bounds, _max_overlaps
 
 __all__ = [
     "DEFAULT_SEED", "CLASSICAL_BOUND", "TSIRELSON_BOUND",
@@ -37,6 +42,7 @@ CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 _SUMMAND_GAP_TOL = 1e-12
+_TIME_NAMES = ("t_n", "t_m", "t_np", "t_mp")
 
 # detection-time assignments (t_n, t_m, t_n', t_m') as functions of the scan time
 TIME_POLICIES = {
@@ -61,10 +67,19 @@ class BellSetting:
     cp_mode: bool = False
 
     def __post_init__(self):
-        _require_finite(t_n=self.t_n, t_m=self.t_m, t_np=self.t_np,
-                        t_mp=self.t_mp)
-        if min(self.t_n, self.t_m, self.t_np, self.t_mp) < 0.0:
-            raise ValueError("detection times must be nonnegative")
+        _detection_times([(self.t_n, self.t_m, self.t_np, self.t_mp)])
+
+
+def _detection_times(times) -> np.ndarray:
+    """Rows (t_n, t_m, t_n', t_m') as an (n, 4) array, finite and >= 0."""
+    times = np.asarray(times, dtype=float)
+    for name, col in zip(_TIME_NAMES, times.T):
+        bad = col[~np.isfinite(col)]
+        if bad.size:
+            raise ValueError(f"{name} must be finite, got {bad[0]}")
+    if (times < 0.0).any():
+        raise ValueError("detection times must be nonnegative")
+    return times
 
 
 def _observables(s: BellSetting, params: MesonParams) -> tuple[ObservableMatrix, ...]:
@@ -73,9 +88,15 @@ def _observables(s: BellSetting, params: MesonParams) -> tuple[ObservableMatrix,
             build(s.k_np, s.t_np, params), build(s.k_mp, s.t_mp, params))
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of 2x2 matrices on the last two axes, leading axes kept."""
+    k = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return k.reshape(k.shape[:-4] + (4, 4))
+
+
 def _witness(o_n: np.ndarray, o_m: np.ndarray, o_np: np.ndarray,
              o_mp: np.ndarray) -> np.ndarray:
-    return np.kron(o_n, o_m - o_mp) + np.kron(o_np, o_m + o_mp)
+    return _kron(o_n, o_m - o_mp) + _kron(o_np, o_m + o_mp)
 
 
 def bell_operator(s: BellSetting, params: MesonParams) -> np.ndarray:
@@ -94,30 +115,63 @@ class BellReport:
     tsirelson: float = TSIRELSON_BOUND
 
 
-def _summand_bound(obs: tuple[ObservableMatrix, ...]) -> float:
-    """Entropic bound between the two witness summands.
+def _summand_bound(w_n: np.ndarray, w_np: np.ndarray, o_n: np.ndarray,
+                   o_np: np.ndarray, o_m: np.ndarray,
+                   o_mp: np.ndarray) -> np.ndarray:
+    """Entropic bound between the two witness summands, one per row.
 
-    Side A compares the O_n and O_n' eigenbases, side B the eigenbases of
-    O_m -/+ O_m'.  A degenerate summand factor constrains nothing (its
-    eigenbasis is free), so the bound collapses to zero there; this is what
-    happens at t = 0 when both B questions coincide.
+    Side A compares the O_n and O_n' eigenbases, read off their amplitudes
+    w; side B the eigenbases of O_m -/+ O_m', from one batched 2x2 eigh.  The
+    bound is -2 log2 of the product of the two one-sided maximal overlaps.
+    A degenerate summand factor constrains nothing (its eigenbasis is free),
+    so the bound collapses to zero there; this is what happens at t = 0 when
+    both B questions coincide.
     """
-    o_n, o_m, o_np, o_mp = obs
-    pair_b1 = eigenpair_from_matrix(o_m.matrix - o_mp.matrix,
-                                    basis=o_m.basis, gap_tol=_SUMMAND_GAP_TOL)
-    pair_b2 = eigenpair_from_matrix(o_m.matrix + o_mp.matrix,
-                                    basis=o_m.basis, gap_tol=_SUMMAND_GAP_TOL)
-    if pair_b1.degenerate or pair_b2.degenerate:
-        return 0.0
-    report = bipartite_mu_bound(spectral(o_n), spectral(o_np), pair_b1, pair_b2)
-    return report.bound
+    chi_a = _eigenvectors(np.array([w_n, w_np]), np.array([o_n, o_np]))
+    best_a = _max_overlaps(chi_a[0], chi_a[1])
+    b = np.array([o_m - o_mp, o_m + o_mp])
+    _require_hermitian(b)
+    vals, vecs = np.linalg.eigh(b)
+    # eigenvector rows in descending eigenvalue order, as eigenpair_from_matrix
+    chi_b = vecs[..., ::-1].swapaxes(-2, -1)
+    best_b = _max_overlaps(chi_b[0], chi_b[1])
+    degenerate = (vals[..., 1] - vals[..., 0] <= _SUMMAND_GAP_TOL).any(axis=0)
+    return np.where(degenerate, 0.0, _bounds(best_a * best_b))
+
+
+def _bell_rows(times, quasispins: tuple[Quasispin, ...], params: MesonParams,
+               cp_mode: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """lambda_min, lambda_max and summand_mu_bound for each row of times.
+
+    times is an (n, 4) array of detection times (t_n, t_m, t_n', t_m') for
+    the quasispins (k_n, k_m, k_n', k_m').  The observables are stacked over
+    the rows, and one eigvalsh call on the (n, 4, 4) witness stack gives the
+    extremal eigenvalues.
+    """
+    times = _detection_times(times)
+    if cp_mode:
+        amps = [cp_weights(q, params)[:2] for q in quasispins]
+    else:
+        amps = [q.state_mass() for q in quasispins]
+    w = [_propagate(a, t, params) for a, t in zip(amps, times.T, strict=True)]
+    o_n, o_m, o_np, o_mp = (_rank_one(x) for x in w)
+    bell = _witness(o_n, o_m, o_np, o_mp)
+    _require_hermitian(bell)
+    vals = np.linalg.eigvalsh(bell)
+    return (vals[:, 0], vals[:, -1],
+            _summand_bound(w[0], w[2], o_n, o_np, o_m, o_mp))
 
 
 def bell_bounds(s: BellSetting, params: MesonParams) -> BellReport:
-    obs = _observables(s, params)
-    vals = hermitian_eigen(_witness(*(o.matrix for o in obs))).eigenvalues
-    return BellReport(lambda_min=float(vals[-1]), lambda_max=float(vals[0]),
-                      summand_mu_bound=_summand_bound(obs))
+    """Witness eigenvalue bounds and summand bound of one setting.
+
+    The one-row case of the batched computation behind scan_bell.
+    """
+    lam_min, lam_max, mu = _bell_rows(
+        [(s.t_n, s.t_m, s.t_np, s.t_mp)], (s.k_n, s.k_m, s.k_np, s.k_mp),
+        params, s.cp_mode)
+    return BellReport(lambda_min=float(lam_min[0]), lambda_max=float(lam_max[0]),
+                      summand_mu_bound=float(mu[0]))
 
 
 @dataclass(frozen=True)
@@ -211,26 +265,23 @@ def scan_bell(policy: str, t_grid, params: MesonParams,
               quasispins: tuple[Quasispin, Quasispin, Quasispin, Quasispin]
               = (K0BAR_DIRECTION,) * 4,
               cp_mode: bool = False) -> list[ScanRow]:
-    """Witness bounds along a time grid under one of the detection-time policies."""
+    """Witness bounds along a time grid under one of the detection-time policies.
+
+    The policy turns the grid into an (n, 4) array of detection times, and
+    the witness is solved once for the whole grid, not point by point.
+    """
     if policy not in TIME_POLICIES:
         raise ValueError(f"unknown time policy: {policy!r}")
-    t_grid = list(t_grid)
-    if not t_grid:
+    grid = np.array(list(t_grid), dtype=float)
+    if grid.size == 0:
         raise ValueError("empty time grid")
-    if any(b < a for a, b in zip(t_grid, t_grid[1:])):
+    if (np.diff(grid) < 0.0).any():
         raise ValueError("time grid must be sorted ascending")
-    times = TIME_POLICIES[policy]
-    k_n, k_m, k_np, k_mp = quasispins
-    rows = []
-    for t in t_grid:
-        t_n, t_m, t_np, t_mp = times(t)
-        setting = BellSetting(k_n, t_n, k_m, t_m, k_np, t_np, k_mp, t_mp,
-                              cp_mode=cp_mode)
-        report = bell_bounds(setting, params)
-        rows.append(ScanRow(t=float(t), lambda_min=report.lambda_min,
-                            lambda_max=report.lambda_max,
-                            summand_mu_bound=report.summand_mu_bound))
-    return rows
+    times = np.stack(np.broadcast_arrays(*TIME_POLICIES[policy](grid)), axis=-1)
+    lam_min, lam_max, mu = _bell_rows(times, quasispins, params, cp_mode)
+    return [ScanRow(t=t, lambda_min=lo, lambda_max=hi, summand_mu_bound=b)
+            for t, lo, hi, b in zip(grid.tolist(), lam_min.tolist(),
+                                    lam_max.tolist(), mu.tolist())]
 
 
 def sample_witness_max(bell: np.ndarray, n_states: int = 10_000,

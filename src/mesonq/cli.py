@@ -228,9 +228,13 @@ def _uncertainty_bipartite_fig(args, fig: str, out) -> int:
     for t in grid:
         t = float(t)
         pair_t = spectral(effective_operator(q, t, params))
-        for j in range(5):
+        # t1 = 0.25 j t is exactly 0 at j = 0 and exactly t at j = 4
+        pairs_t1 = ([pair_0]
+                    + [spectral(effective_operator(q, 0.25 * j * t, params))
+                       for j in (1, 2, 3)]
+                    + [pair_t])
+        for j, pair_t1 in enumerate(pairs_t1):
             t1 = 0.25 * j * t
-            pair_t1 = spectral(effective_operator(q, t1, params))
             if fig == "3a":
                 rep = bipartite_mu_bound(pair_0, pair_t1, pair_t, pair_0)
             else:

@@ -204,6 +204,19 @@ class SpectralDecomp:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
 
 
+def _require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+    """Raise unless each matrix on the leading axes of m is Hermitian.
+
+    The tolerance is tol times the matrix scale max(1, max |m_ij|), which is
+    returned, one per matrix.
+    """
+    scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
+    if not (np.abs(m - m.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
+            <= tol * scale).all():
+        raise ValueError("not hermitian")
+    return scale
+
+
 def hermitian_eigen(m: np.ndarray, tol: float = HERMITICITY_TOL) -> SpectralDecomp:
     """Eigendecomposition of a small Hermitian matrix, deterministically ordered.
 
@@ -214,9 +227,7 @@ def hermitian_eigen(m: np.ndarray, tol: float = HERMITICITY_TOL) -> SpectralDeco
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4, 16):
         raise ValueError("expected a square matrix of dimension 2, 4 or 16")
-    scale = max(1.0, float(np.abs(m).max()))
-    if np.abs(m - m.conj().T).max() > tol * scale:
-        raise ValueError("not hermitian")
+    scale = float(_require_hermitian(m, tol))
     vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
     order = np.argsort(-vals, kind="stable")
     vals = vals[order]

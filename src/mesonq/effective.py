@@ -17,15 +17,16 @@ at long times.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
-    CP_TO_STRANGENESS, ID2, CpBasisData, MesonParams, Quasispin,
-    cp_basis_data, hermitian_eigen, ks_state, kl_state,
-    mass_to_strangeness_matrix, _canonical_phase, _entries, _require_finite,
+    CP_TO_STRANGENESS, ID2, MesonParams, Quasispin, cp_basis_data,
+    hermitian_eigen, ks_state, kl_state, mass_to_strangeness_matrix,
+    _canonical_phase, _entries, _require_finite,
 )
 
 __all__ = [
@@ -66,22 +67,44 @@ class EigenPair:
     basis: str = "mass"
 
 
-def _propagate(amps, t: float, params: MesonParams) -> np.ndarray:
-    """Amplitudes over (K_S, K_L) carried to the detection time t >= 0.
+def _propagate(amps, t, params: MesonParams) -> np.ndarray:
+    """Amplitudes over (K_S, K_L) carried to detection times t >= 0.
 
     Each picks up its decay factor e^{-Gamma_i t/2}, and the K_L amplitude
-    also the oscillation phase e^{i t}.
+    also the oscillation phase e^{i t}.  t is a float or an array of times;
+    the result has shape t.shape + (2,), time on the leading axes, and each
+    row has the bits of the float result at its time.
     """
-    _require_finite(t=t)
-    if t < 0.0:
+    if isinstance(t, (float, int)):
+        _require_finite(t=t)
+        if t < 0.0:
+            raise ValueError("observables live at detection times t >= 0")
+        return np.array([amps[0] * math.exp(-0.5 * params.gamma_s * t),
+                         amps[1] * cmath.exp(1j * t - 0.5 * params.gamma_l * t)])
+    t = np.asarray(t, dtype=float)
+    if not np.isfinite(t).all():
+        raise ValueError(f"t must be finite, got {t[~np.isfinite(t)][0]}")
+    if (t < 0.0).any():
         raise ValueError("observables live at detection times t >= 0")
-    return np.array([amps[0] * math.exp(-0.5 * params.gamma_s * t),
-                     amps[1] * cmath.exp(1j * t - 0.5 * params.gamma_l * t)])
+    # numpy's complex exp is libm's exp bit for bit, while its vectorized
+    # real exp may differ in the last bit; the products are written out
+    # because its vectorized complex multiply fuses ac - bd
+    e = np.exp(t[..., None]
+               * np.array([-0.5 * params.gamma_s, 1j - 0.5 * params.gamma_l]))
+    a = np.asarray(amps, dtype=complex)
+    w = np.empty(e.shape, dtype=complex)
+    w.real = a.real * e.real - a.imag * e.imag
+    w.imag = a.real * e.imag + a.imag * e.real
+    return w
 
 
 def _rank_one(w: np.ndarray) -> np.ndarray:
-    """2|w><w| - 1: the yes/no observable whose "yes" direction is w."""
-    return 2.0 * np.outer(w, w.conj()) - ID2
+    """2|w><w| - 1: the yes/no observable whose "yes" direction is w.
+
+    Acts on the last axis of w, so a stack of amplitudes gives a stack of
+    observables.
+    """
+    return 2.0 * (w[..., :, None] * w.conj()[..., None, :]) - ID2
 
 
 def _bloch(w: np.ndarray) -> tuple[float, np.ndarray]:
@@ -107,6 +130,30 @@ def _pair(w: np.ndarray, basis: str) -> EigenPair:
     return EigenPair(lambda1=2.0 * weight - 1.0,
                      chi1=_canonical_phase(w / norm), lambda2=-1.0,
                      chi2=_canonical_phase(chi2 / norm), basis=basis)
+
+
+def _eigenvectors(w: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """Eigenvector rows (chi1, chi2) of each 2|w><w| - 1 on the leading axes.
+
+    The stacked form of _pair without its phase convention: chi1 = w/|w|
+    and chi2 = (-w_L*, w_S*)/|w|, or the standard basis where |w|^2 falls
+    below the degeneracy tolerance.  Both rows are checked against the
+    observables o, as spectral checks its pair.
+    """
+    weight = (w * w.conj()).real.sum(axis=-1)
+    degenerate = weight < _DEGENERACY_TOL
+    chi = np.empty(w.shape + (2,), dtype=complex)
+    chi[..., 0, :] = w
+    chi[..., 1, 0] = -w[..., 1].conj()
+    chi[..., 1, 1] = w[..., 0].conj()
+    chi /= np.sqrt(np.where(degenerate, 1.0, weight))[..., None, None]
+    chi[degenerate] = ID2
+    lam = np.full(w.shape + (1,), -1.0)
+    lam[..., 0, 0] = np.where(degenerate, -1.0, 2.0 * weight - 1.0)
+    residual = chi @ o.swapaxes(-2, -1) - lam * chi
+    if not (np.linalg.norm(residual, axis=-1) <= _RESIDUAL_TOL).all():
+        raise AssertionError("analytic eigenvector failed the residual check")
+    return chi
 
 
 def bloch_vector(q: Quasispin, t: float, params: MesonParams) -> tuple[float, np.ndarray]:
@@ -145,11 +192,24 @@ def spectral(o: ObservableMatrix) -> EigenPair:
     return pair
 
 
-def _quasispin_strangeness(q: Quasispin, cp: CpBasisData, q_basis: str) -> np.ndarray:
+@functools.lru_cache(maxsize=8)
+def _mass_frame(delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """K_S, K_L and the mass-to-strangeness matrix at one delta, read-only.
+
+    They depend on delta alone, so each is built once per delta.
+    """
+    cp = cp_basis_data(delta)
+    frame = (ks_state(cp), kl_state(cp), mass_to_strangeness_matrix(cp))
+    for a in frame:
+        a.setflags(write=False)
+    return frame
+
+
+def _quasispin_strangeness(q: Quasispin, delta: float, q_basis: str) -> np.ndarray:
     """Quasispin (alpha, phi) realized as a state in strangeness coordinates."""
     amps = q.state_mass()
     if q_basis == "mass":
-        return mass_to_strangeness_matrix(cp) @ amps
+        return _mass_frame(delta)[2] @ amps
     if q_basis == "cp":
         return CP_TO_STRANGENESS @ amps
     raise ValueError(f"unknown quasispin basis: {q_basis!r}")
@@ -163,10 +223,10 @@ def cp_weights(q: Quasispin, params: MesonParams,
     1 + delta sin(alpha) cos(phi), not to one: the mass eigenstates are
     non-orthogonal.
     """
-    cp = cp_basis_data(params.delta)
-    k = _quasispin_strangeness(q, cp, q_basis)
-    amp_s = complex(np.vdot(ks_state(cp), k))
-    amp_l = complex(np.vdot(kl_state(cp), k))
+    ks, kl, _ = _mass_frame(params.delta)
+    k = _quasispin_strangeness(q, params.delta, q_basis)
+    amp_s = complex(np.vdot(ks, k))
+    amp_l = complex(np.vdot(kl, k))
     return amp_s, amp_l, abs(amp_s) ** 2 + abs(amp_l) ** 2
 
 
@@ -203,12 +263,11 @@ def effective_operator_cp_exact(q: Quasispin, t: float,
     instead of the inverse-basis coefficients; the comparison test documents
     the gap.
     """
-    cp = cp_basis_data(params.delta)
-    v = np.linalg.inv(CP_TO_STRANGENESS) @ mass_to_strangeness_matrix(cp)
+    v = np.linalg.inv(CP_TO_STRANGENESS) @ _mass_frame(params.delta)[2]
     # oscillation phase on K_L relative to K_S; amplitudes decay as e^{-G t/2}
     d = np.diag(_propagate(np.ones(2), t, params))
     m = v @ d.conj() @ np.linalg.inv(v)
-    k_cp = np.linalg.inv(CP_TO_STRANGENESS) @ _quasispin_strangeness(q, cp, "mass")
+    k_cp = np.linalg.inv(CP_TO_STRANGENESS) @ _quasispin_strangeness(q, params.delta, "mass")
     return _rank_one(m.conj().T @ k_cp)
 
 

@@ -9,6 +9,7 @@ information lost between measurements at different times.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, replace
 
@@ -24,6 +25,7 @@ __all__ = [
 ]
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
+_TIE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -57,14 +59,34 @@ def _max_overlap(pair1: EigenPair, pair2: EigenPair) -> tuple[float, tuple]:
     for i, u in enumerate((pair1.chi1, pair1.chi2), start=1):
         for j, v in enumerate((pair2.chi1, pair2.chi2), start=1):
             o = abs(np.vdot(u, v))
-            if o > best + 1e-12:
+            if o > best + _TIE_TOL:
                 best, arg = o, (i, j)
     return best, arg
+
+
+def _max_overlaps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """_max_overlap's maximum, one per row of stacked eigenvector rows.
+
+    u and v hold the rows (chi1, chi2) of two bases on their last two axes;
+    the (i, j) table is scanned in the same order with the same tie rule.
+    """
+    table = np.abs(u.conj() @ v.swapaxes(-2, -1))
+    table = table.reshape(table.shape[:-2] + (4,))
+    best = table[..., 0]
+    for k in range(1, 4):
+        best = np.where(table[..., k] > best + _TIE_TOL, table[..., k], best)
+    return best
 
 
 def _report(best: float, arg: tuple) -> UncertaintyReport:
     return UncertaintyReport(bound=max(0.0, -2.0 * math.log2(min(best, 1.0))),
                              max_overlap=best, argmax_pair=arg)
+
+
+def _bounds(best: np.ndarray) -> np.ndarray:
+    """_report's bound for an array of maximal overlaps."""
+    bound = -2.0 * np.log2(np.minimum(best, 1.0))
+    return np.where(bound > 0.0, bound, 0.0)
 
 
 def mu_bound(pair1: EigenPair, pair2: EigenPair) -> UncertaintyReport:
@@ -81,27 +103,43 @@ def mu_bound(pair1: EigenPair, pair2: EigenPair) -> UncertaintyReport:
     return _report(*_max_overlap(pair1, pair2))
 
 
+def _side_terms(alpha: float, t: float, dg: float) -> tuple[float, float]:
+    """(cos(a/2) e^{dGamma t}, sin(a/2)) divided by the larger in size.
+
+    The decay factor goes on the cosine term where it is at most one
+    (t >= 0) and its inverse on the sine term otherwise, so neither
+    overflows.  Where the K_S term of a pure K_S question underflows, the
+    pair is its limit (+-1, 0).
+    """
+    c, s = math.cos(0.5 * alpha), math.sin(0.5 * alpha)
+    if dg * t <= 0.0:
+        c *= math.exp(dg * t)
+    else:
+        s *= math.exp(-dg * t)
+    big = max(abs(c), abs(s))
+    if big == 0.0:
+        return math.copysign(1.0, c), 0.0
+    return c / big, s / big
+
+
 def eigen_overlap(q_n: Quasispin | tuple, t_n: float, q_m: Quasispin | tuple,
                   t_m: float, params: MesonParams) -> complex:
     """Closed-form overlap <chi(a_n, phi_n, t_n)|chi(a_m, phi_m, t_m)>.
 
     Accepts raw (alpha, phi) tuples so the backward-in-time arguments
     (alpha+pi, phi+2t, -t) can be fed directly.  Valid for delta = 0.
-    Numerator and denominator carry the common factor e^{dGamma (t_n+t_m)},
-    which keeps every exponential at most one for t_n, t_m >= 0.
+    Each side's two terms are divided by the larger one, which cancels
+    between numerator and denominator and keeps both finite at every time.
     """
     a_n, p_n = (q_n.alpha, q_n.phi) if isinstance(q_n, Quasispin) else q_n
     a_m, p_m = (q_m.alpha, q_m.phi) if isinstance(q_m, Quasispin) else q_m
     _require_finite(alpha_n=a_n, phi_n=p_n, t_n=t_n,
                     alpha_m=a_m, phi_m=p_m, t_m=t_m)
     dg = params.delta_gamma
-    c_n, s_n = math.cos(0.5 * a_n), math.sin(0.5 * a_n)
-    c_m, s_m = math.cos(0.5 * a_m), math.sin(0.5 * a_m)
-    num = (c_n * c_m * math.exp(dg * (t_n + t_m))
-           + s_n * s_m * np.exp(1j * (t_m - t_n + p_m - p_n)))
-    den = (math.sqrt(c_n * c_n * math.exp(2.0 * dg * t_n) + s_n * s_n)
-           * math.sqrt(c_m * c_m * math.exp(2.0 * dg * t_m) + s_m * s_m))
-    return complex(num / den)
+    c_n, s_n = _side_terms(a_n, t_n, dg)
+    c_m, s_m = _side_terms(a_m, t_m, dg)
+    num = c_n * c_m + s_n * s_m * cmath.exp(1j * (t_m - t_n + p_m - p_n))
+    return num / (math.hypot(c_n, s_n) * math.hypot(c_m, s_m))
 
 
 def cp_overlap_ks(t_n: float, params: MesonParams) -> float:
@@ -109,14 +147,15 @@ def cp_overlap_ks(t_n: float, params: MesonParams) -> float:
 
     |e^{-Gs t/2} + d^2 e^{-i t} e^{-Gl t/2}|
     / sqrt((1 + d^2)(e^{-Gs t} + d^2 e^{-Gl t})), with d the CP asymmetry.
+    The terms u = e^{-Gs t/2} and v = |d| e^{-Gl t/2} are divided by the
+    larger one, which cancels and keeps the ratio finite at every time.
     """
     _require_finite(t_n=t_n)
-    d2 = params.delta * params.delta
-    num = abs(math.exp(-0.5 * params.gamma_s * t_n)
-              + d2 * np.exp(-1j * t_n) * math.exp(-0.5 * params.gamma_l * t_n))
-    den = math.sqrt((1.0 + d2) * (math.exp(-params.gamma_s * t_n)
-                                  + d2 * math.exp(-params.gamma_l * t_n)))
-    return float(num / den)
+    d = abs(params.delta)
+    r = math.exp(params.delta_gamma * t_n)  # |d| u / v
+    u, v = (1.0, d / r if d else 0.0) if r >= d else (r / d, 1.0)
+    num = abs(u + d * v * cmath.exp(-1j * t_n))
+    return num / (math.sqrt(1.0 + d * d) * math.hypot(u, v))
 
 
 def _bisect(f, lo: float, hi: float, tol: float = 1e-10) -> float:

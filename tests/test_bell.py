@@ -3,12 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import mesonq.bell
 from mesonq import (
     K0BAR_DIRECTION, MesonParams, Quasispin, bell_bounds, bell_operator,
-    chsh_value, cp_bell_test, hermitian_eigen, sample_witness_max, scan_bell,
-    singlet_state,
+    bipartite_mu_bound, bmeson_defaults, chsh_value, cp_bell_test,
+    effective_operator, effective_operator_cp, hermitian_eigen, kaon_defaults, sample_witness_max, scan_bell,
+    singlet_state, spectral,
 )
-from mesonq.bell import BellSetting
+from mesonq.bell import TIME_POLICIES, BellSetting
+from mesonq.core import PAULI_Z, _require_hermitian
+from mesonq.effective import _rank_one, eigenpair_from_matrix
 from mesonq.evolution import _surviving_pair
 
 SQRT2 = math.sqrt(2.0)
@@ -221,3 +225,108 @@ class TestScanBell:
         with pytest.raises(ValueError):
             BellSetting(K0BAR_DIRECTION, -0.1, K0BAR_DIRECTION, 0.0,
                         K0BAR_DIRECTION, 0.0, K0BAR_DIRECTION, 0.0)
+
+
+def per_point_row(quasispins, times, params, cp_mode):
+    """One grid point the way the witness used to be solved, point by point.
+
+    Four effective operators, the eigenvalues of the 4x4 kron witness, and
+    the summand bound from the eigenpairs of O_n, O_n' and O_m -/+ O_m'.
+    """
+    build = effective_operator_cp if cp_mode else effective_operator
+    o_n, o_m, o_np, o_mp = (build(q, t, params)
+                            for q, t in zip(quasispins, times))
+    bell = (np.kron(o_n.matrix, o_m.matrix - o_mp.matrix)
+            + np.kron(o_np.matrix, o_m.matrix + o_mp.matrix))
+    vals = hermitian_eigen(bell).eigenvalues
+    pair_b1 = eigenpair_from_matrix(o_m.matrix - o_mp.matrix, gap_tol=1e-12)
+    pair_b2 = eigenpair_from_matrix(o_m.matrix + o_mp.matrix, gap_tol=1e-12)
+    if pair_b1.degenerate or pair_b2.degenerate:
+        mu = 0.0
+    else:
+        mu = bipartite_mu_bound(spectral(o_n), spectral(o_np),
+                                pair_b1, pair_b2).bound
+    return vals[-1], vals[0], mu
+
+
+EQUAL_WIDTH = MesonParams(kaon_defaults().gamma_l, kaon_defaults().gamma_l,
+                          0.0, "equalwidth")
+SCAN_PRESETS = (kaon_defaults(), bmeson_defaults(), EQUAL_WIDTH)
+# t = 0 (degenerate B factor for coinciding B questions), dense short times,
+# and long times up to 2000 dm, where the B meson's A pairs are degenerate
+SCAN_GRID = sorted({0.0, *np.linspace(0.0, 8.0, 41).tolist(),
+                    *np.linspace(10.0, 2000.0, 12).tolist()})
+
+
+class TestBatchedScan:
+    @pytest.mark.parametrize("policy", sorted(TIME_POLICIES))
+    @pytest.mark.parametrize("params", SCAN_PRESETS, ids=lambda p: p.label)
+    @pytest.mark.parametrize("cp_mode", [False, True])
+    def test_matches_per_point_reference(self, policy, params, cp_mode, rng):
+        random_qs = tuple(Quasispin(rng.uniform(0, math.pi),
+                                    rng.uniform(0, 2 * math.pi))
+                          for _ in range(4))
+        for qs in ((K0BAR_DIRECTION,) * 4, random_qs):
+            rows = scan_bell(policy, SCAN_GRID, params, qs, cp_mode=cp_mode)
+            assert [r.t for r in rows] == SCAN_GRID
+            for row in rows:
+                times = TIME_POLICIES[policy](row.t)
+                lo, hi, mu = per_point_row(qs, times, params, cp_mode)
+                assert abs(row.lambda_min - lo) <= 1e-12
+                assert abs(row.lambda_max - hi) <= 1e-12
+                assert abs(row.summand_mu_bound - mu) <= 1e-12
+
+    def test_reference_covers_degenerate_rows(self, kaon, bmeson):
+        # the grid reaches both rules: a degenerate B factor at t = 0 and
+        # a degenerate A pair (|w|^2 < 1e-14) at long times
+        row = scan_bell("alternating-1", SCAN_GRID, kaon)[0]
+        assert row.t == 0.0 and row.summand_mu_bound == 0.0
+        o = effective_operator(K0BAR_DIRECTION, SCAN_GRID[-1], bmeson)
+        assert spectral(o).degenerate
+
+    def test_bell_bounds_is_the_one_row_scan(self, rng):
+        for params in SCAN_PRESETS:
+            for policy, times in TIME_POLICIES.items():
+                for cp_mode in (False, True):
+                    qs = [Quasispin(rng.uniform(0, math.pi),
+                                    rng.uniform(0, 2 * math.pi))
+                          for _ in range(4)]
+                    t = float(rng.uniform(0, 6))
+                    t_n, t_m, t_np, t_mp = times(t)
+                    s = BellSetting(qs[0], t_n, qs[1], t_m, qs[2], t_np,
+                                    qs[3], t_mp, cp_mode=cp_mode)
+                    rep = bell_bounds(s, params)
+                    row = scan_bell(policy, [t], params, tuple(qs), cp_mode)[0]
+                    assert (rep.lambda_min, rep.lambda_max, rep.summand_mu_bound) \
+                        == (row.lambda_min, row.lambda_max, row.summand_mu_bound)
+
+    def test_non_hermitian_witness_rejected(self, kaon, monkeypatch):
+        witness = mesonq.bell._witness
+
+        def skewed(*obs):
+            bell = witness(*obs)
+            bell[..., 0, 1] += 1e-6
+            return bell
+
+        monkeypatch.setattr(mesonq.bell, "_witness", skewed)
+        with pytest.raises(ValueError, match="not hermitian"):
+            scan_bell("alternating-1", [0.5, 1.0], kaon)
+
+    def test_hermiticity_checked_per_matrix(self):
+        stack = np.array([np.eye(4), np.eye(4)], dtype=complex)
+        _require_hermitian(stack)
+        stack[1, 2, 3] = 1e-6
+        with pytest.raises(ValueError, match="not hermitian"):
+            _require_hermitian(stack)
+
+    def test_residual_check_on_side_a(self, kaon, monkeypatch):
+        # a Hermitian perturbation keeps the witness valid but moves the
+        # observables off the eigenpairs read from their amplitudes
+        monkeypatch.setattr(mesonq.bell, "_rank_one",
+                            lambda w: _rank_one(w) + 1e-6 * PAULI_Z)
+        with pytest.raises(AssertionError, match="residual check"):
+            scan_bell("alternating-1", [0.5, 1.0], kaon)
+
+    def test_negative_grid_time_rejected(self, kaon):
+        with pytest.raises(ValueError, match="nonnegative"):
+            scan_bell("alternating-1", [-0.1, 0.5], kaon)

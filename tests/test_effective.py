@@ -13,7 +13,9 @@ from mesonq import (
     joint_probabilities, kaon_defaults, singlet_state, spectral,
 )
 from mesonq.core import PAULI_X
-from mesonq.effective import ObservableMatrix, effective_operator_cp_exact
+from mesonq.effective import (
+    ObservableMatrix, _mass_frame, _propagate, effective_operator_cp_exact,
+)
 from mesonq.evolution import (
     _surviving_pair, evolve_single_closed, quasispin_projector4,
 )
@@ -212,6 +214,43 @@ class TestSpectral:
                 assert np.linalg.norm(chi) == pytest.approx(1.0, abs=1e-12)
                 assert np.linalg.norm(o.matrix @ chi - lam * chi) < 1e-12
             assert abs(np.vdot(pair.chi1, pair.chi2)) < 1e-12
+
+
+class TestPropagate:
+    @pytest.mark.parametrize("params", [kaon_defaults(), bmeson_defaults()],
+                             ids=lambda p: p.label)
+    def test_array_rows_equal_scalar_calls(self, params, rng):
+        # bit for bit: a scan row is the scalar observable at its time
+        times = np.concatenate([[0.0], rng.uniform(0, 8, 40),
+                                rng.uniform(8, 2000, 10)]).reshape(17, 3)
+        for _ in range(5):
+            q = Quasispin(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+            for amps in (q.state_mass(), cp_weights(q, params)[:2]):
+                w = _propagate(amps, times, params)
+                assert w.shape == (17, 3, 2)
+                for idx in np.ndindex(times.shape):
+                    scalar = _propagate(amps, float(times[idx]), params)
+                    assert np.array_equal(w[idx], scalar)
+
+    def test_array_times_validated(self, kaon):
+        amps = KS_DIRECTION.state_mass()
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="t must be finite"):
+                _propagate(amps, np.array([0.0, bad]), kaon)
+        with pytest.raises(ValueError, match="t >= 0"):
+            _propagate(amps, np.array([0.5, -0.1]), kaon)
+
+
+class TestCpWeights:
+    def test_frame_is_cached_and_read_only(self, kaon):
+        _mass_frame.cache_clear()
+        cp_weights(Quasispin(1.0, 0.3), kaon)
+        cp_weights(Quasispin(2.0, 1.1), kaon)
+        info = _mass_frame.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        for a in _mass_frame(kaon.delta):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 0.0
 
 
 class TestCpOperator:

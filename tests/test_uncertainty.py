@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from mesonq import (
     KL_DIRECTION, KS_DIRECTION, MesonParams, Quasispin, binary_entropy,
+    kaon_defaults,
     bipartite_mu_bound, complementary_time, cp_eigenvectors, cp_overlap_ks,
     delta_for_equal_times, effective_operator, eigen_overlap, misid_time,
     mu_bound, robertson_check, spectral,
@@ -120,6 +122,32 @@ class TestEigenOverlap:
             o = eigen_overlap(q, t, q, t, kaon)
             assert o == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("t", [340.0, 360.0, 2000.0])
+    @pytest.mark.parametrize("q", [KS_DIRECTION, KL_DIRECTION],
+                             ids=["alpha0", "alphapi"])
+    def test_pure_lifetime_questions_at_long_times(self, kaon, q, t):
+        # the K_S term underflows from t ~ 338 on; a pure question still
+        # overlaps itself fully, and its t = 0 form up to a phase
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            same = eigen_overlap(q, t, q, t, kaon)
+            start = eigen_overlap(q, t, q, 0.0, kaon)
+        assert same == pytest.approx(1.0, abs=1e-12)
+        assert abs(start) == pytest.approx(1.0, abs=1e-12)
+
+    @given(alpha_n=st.floats(0.0, math.pi), phi_n=st.floats(0.0, 2 * math.pi),
+           alpha_m=st.floats(0.0, math.pi), phi_m=st.floats(0.0, 2 * math.pi),
+           t_n=st.floats(0.0, 2000.0), t_m=st.floats(0.0, 2000.0))
+    @settings(max_examples=300, deadline=None)
+    def test_bounded_over_long_times(self, alpha_n, phi_n, alpha_m, phi_m,
+                                     t_n, t_m):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            o = eigen_overlap((alpha_n, phi_n), t_n, (alpha_m, phi_m), t_m,
+                              kaon_defaults())
+        assert math.isfinite(o.real) and math.isfinite(o.imag)
+        assert abs(o) <= 1.0 + 1e-12
+
     def test_non_finite_input_rejected(self, kaon):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="t_n must be finite"):
@@ -171,6 +199,18 @@ class TestCpOverlap:
         d = kaon.delta
         assert cp_overlap_ks(60.0, kaon) == pytest.approx(
             d / math.sqrt(1.0 + d * d), rel=1e-9)
+
+    @pytest.mark.parametrize("t", [340.0, 345.0, 354.0, 706.0, 2000.0])
+    def test_finite_at_long_times(self, kaon, t):
+        # the K_L term dominates: the overlap sits at its d / sqrt(1 + d^2)
+        # limit, and at delta = 0 the question stays the same one
+        d = kaon.delta
+        plain = MesonParams(kaon.gamma_s, kaon.gamma_l, 0.0, "plain")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cp_overlap_ks(t, kaon) == pytest.approx(
+                d / math.sqrt(1.0 + d * d), rel=1e-12)
+            assert cp_overlap_ks(t, plain) == pytest.approx(1.0, abs=1e-15)
 
     def test_near_unbiased_at_published_time(self, kaon):
         assert abs(cp_overlap_ks(5.40, kaon) - SQRT_HALF) < 0.01
