@@ -7,7 +7,7 @@ for every local-realistic model.  Detection times enter through the effective
 observables, so decay and oscillation compete inside one 4x4 matrix.
 
 Bounds are computed for a whole array of detection times at once: the
-observables, witnesses and summand eigenbases are stacked with time on the
+observables, witnesses and Bloch vectors are stacked with time on the
 leading axis, so a time scan solves one batched eigenvalue problem, and a
 single setting is the one-row case.
 """
@@ -25,10 +25,10 @@ from .core import (
 )
 from .effective import (
     ObservableMatrix, cp_weights, effective_operator, effective_operator_cp,
-    _eigenvectors, _pair_expectation, _propagate, _rank_one,
+    _checked_bloch, _pair_expectation, _propagate, _rank_one,
 )
 from .evolution import _surviving_pair, singlet_state
-from .uncertainty import _bounds, _max_overlaps
+from .uncertainty import _bloch_mu_bound
 
 __all__ = [
     "DEFAULT_SEED", "CLASSICAL_BOUND", "TSIRELSON_BOUND",
@@ -115,28 +115,20 @@ class BellReport:
     tsirelson: float = TSIRELSON_BOUND
 
 
-def _summand_bound(w_n: np.ndarray, w_np: np.ndarray, o_n: np.ndarray,
-                   o_np: np.ndarray, o_m: np.ndarray,
-                   o_mp: np.ndarray) -> np.ndarray:
+def _summand_bound(n_n: np.ndarray, n_np: np.ndarray, n_m: np.ndarray,
+                   n_mp: np.ndarray) -> np.ndarray:
     """Entropic bound between the two witness summands, one per row.
 
-    Side A compares the O_n and O_n' eigenbases, read off their amplitudes
-    w; side B the eigenbases of O_m -/+ O_m', from one batched 2x2 eigh.  The
-    bound is -2 log2 of the product of the two one-sided maximal overlaps.
-    A degenerate summand factor constrains nothing (its eigenbasis is free),
-    so the bound collapses to zero there; this is what happens at t = 0 when
-    both B questions coincide.
+    It is the sum of two one-sided bounds: side A between O_n and O_n', side
+    B between O_m -/+ O_m', with Bloch vectors n_m -/+ n_m' and eigenvalue
+    gaps 2|n_m -/+ n_m'|.  A degenerate summand factor constrains nothing
+    (its eigenbasis is free), so the bound collapses to zero there; this is
+    what happens at t = 0 when both B questions coincide.
     """
-    chi_a = _eigenvectors(np.array([w_n, w_np]), np.array([o_n, o_np]))
-    best_a = _max_overlaps(chi_a[0], chi_a[1])
-    b = np.array([o_m - o_mp, o_m + o_mp])
-    _require_hermitian(b)
-    vals, vecs = np.linalg.eigh(b)
-    # eigenvector rows in descending eigenvalue order, as eigenpair_from_matrix
-    chi_b = vecs[..., ::-1].swapaxes(-2, -1)
-    best_b = _max_overlaps(chi_b[0], chi_b[1])
-    degenerate = (vals[..., 1] - vals[..., 0] <= _SUMMAND_GAP_TOL).any(axis=0)
-    return np.where(degenerate, 0.0, _bounds(best_a * best_b))
+    b = np.array([n_m - n_mp, n_m + n_mp])
+    gap = 2.0 * np.linalg.norm(b, axis=-1).min(axis=0)
+    bound = _bloch_mu_bound(np.array([n_n, b[0]]), np.array([n_np, b[1]]))[0]
+    return np.where(gap <= _SUMMAND_GAP_TOL, 0.0, bound.sum(axis=0))
 
 
 def _bell_rows(times, quasispins: tuple[Quasispin, ...], params: MesonParams,
@@ -146,20 +138,21 @@ def _bell_rows(times, quasispins: tuple[Quasispin, ...], params: MesonParams,
     times is an (n, 4) array of detection times (t_n, t_m, t_n', t_m') for
     the quasispins (k_n, k_m, k_n', k_m').  The observables are stacked over
     the rows, and one eigvalsh call on the (n, 4, 4) witness stack gives the
-    extremal eigenvalues.
+    extremal eigenvalues; the summand bound comes from checked Bloch vectors.
     """
     times = _detection_times(times)
     if cp_mode:
         amps = [cp_weights(q, params)[:2] for q in quasispins]
     else:
         amps = [q.state_mass() for q in quasispins]
-    w = [_propagate(a, t, params) for a, t in zip(amps, times.T, strict=True)]
-    o_n, o_m, o_np, o_mp = (_rank_one(x) for x in w)
-    bell = _witness(o_n, o_m, o_np, o_mp)
+    w = np.array([_propagate(a, t, params)
+                  for a, t in zip(amps, times.T, strict=True)])
+    o = _rank_one(w)
+    bell = _witness(*o)
     _require_hermitian(bell)
     vals = np.linalg.eigvalsh(bell)
-    return (vals[:, 0], vals[:, -1],
-            _summand_bound(w[0], w[2], o_n, o_np, o_m, o_mp))
+    n_n, n_m, n_np, n_mp = _checked_bloch(w, o)
+    return vals[:, 0], vals[:, -1], _summand_bound(n_n, n_np, n_m, n_mp)
 
 
 def bell_bounds(s: BellSetting, params: MesonParams) -> BellReport:
@@ -261,6 +254,20 @@ class ScanRow:
     summand_mu_bound: float
 
 
+def _scan_columns(policy: str, t_grid, params: MesonParams, quasispins,
+                  cp_mode: bool) -> tuple[np.ndarray, ...]:
+    """The columns t, lambda_min, lambda_max, summand_mu_bound of scan_bell."""
+    if policy not in TIME_POLICIES:
+        raise ValueError(f"unknown time policy: {policy!r}")
+    grid = np.array(list(t_grid), dtype=float)
+    if grid.size == 0:
+        raise ValueError("empty time grid")
+    if (np.diff(grid) < 0.0).any():
+        raise ValueError("time grid must be sorted ascending")
+    times = np.stack(np.broadcast_arrays(*TIME_POLICIES[policy](grid)), axis=-1)
+    return (grid, *_bell_rows(times, quasispins, params, cp_mode))
+
+
 def scan_bell(policy: str, t_grid, params: MesonParams,
               quasispins: tuple[Quasispin, Quasispin, Quasispin, Quasispin]
               = (K0BAR_DIRECTION,) * 4,
@@ -270,18 +277,8 @@ def scan_bell(policy: str, t_grid, params: MesonParams,
     The policy turns the grid into an (n, 4) array of detection times, and
     the witness is solved once for the whole grid, not point by point.
     """
-    if policy not in TIME_POLICIES:
-        raise ValueError(f"unknown time policy: {policy!r}")
-    grid = np.array(list(t_grid), dtype=float)
-    if grid.size == 0:
-        raise ValueError("empty time grid")
-    if (np.diff(grid) < 0.0).any():
-        raise ValueError("time grid must be sorted ascending")
-    times = np.stack(np.broadcast_arrays(*TIME_POLICIES[policy](grid)), axis=-1)
-    lam_min, lam_max, mu = _bell_rows(times, quasispins, params, cp_mode)
-    return [ScanRow(t=t, lambda_min=lo, lambda_max=hi, summand_mu_bound=b)
-            for t, lo, hi, b in zip(grid.tolist(), lam_min.tolist(),
-                                    lam_max.tolist(), mu.tolist())]
+    columns = _scan_columns(policy, t_grid, params, quasispins, cp_mode)
+    return [ScanRow(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
 def sample_witness_max(bell: np.ndarray, n_states: int = 10_000,

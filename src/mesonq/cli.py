@@ -27,8 +27,9 @@ from .core import (
     bmeson_defaults, kaon_defaults, stable_defaults,
 )
 from .effective import (
-    cp_eigenvectors, effective_operator, spectral, bipartite_expectation,
-    expectation,
+    bipartite_expectation, cp_weights, effective_operator,
+    effective_operator_cp, eigenpair_from_matrix, _checked_bloch, _propagate,
+    _rank_one,
 )
 from .evolution import (
     embed_surviving, evolve_bipartite, evolve_single_closed,
@@ -36,12 +37,12 @@ from .evolution import (
     _surviving_pair,
 )
 from .uncertainty import (
-    bipartite_mu_bound, complementary_time, delta_for_equal_times, misid_time,
-    mu_bound,
+    complementary_time, delta_for_equal_times, misid_time, mu_bound,
+    _bloch_mu_bound,
 )
 from .bell import (
     CLASSICAL_BOUND, DEFAULT_SEED, TSIRELSON_BOUND, BellSetting, bell_bounds,
-    bell_operator, cp_bell_test, sample_witness_max, scan_bell,
+    bell_operator, cp_bell_test, sample_witness_max, _scan_columns,
 )
 
 FIG_CHOICES = ("1a", "1b", "2a", "2b", "2c", "2d", "3a", "3b",
@@ -51,15 +52,19 @@ _POLICY_FOR_FIG = {"4a": "all-equal", "4b": "alternating-1", "4c": "alternating-
                    "5a": "alternating-1", "5b": "alternating-1"}
 
 
-def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.11e}"
-    return str(x)
+def _write_csv(path: str | None, header: list[str], columns: list) -> None:
+    """Write columns under header through one format string per row.
 
-
-def _write_csv(path: str | None, header: list[str], rows: list[list]) -> None:
-    lines = [",".join(header)]
-    lines += [",".join(_fmt(x) for x in row) for row in rows]
+    Floats print as %.11e, the rest as str; a scalar column is formatted once.
+    """
+    fields, data = [], []
+    for col in map(np.asarray, columns):
+        fmt = "%.11e" if col.dtype.kind == "f" else "%s"
+        if col.ndim:
+            data.append(col.tolist())
+        fields.append(fmt if col.ndim else fmt % col.item())
+    row = ",".join(fields)
+    lines = [",".join(header)] + [row % values for values in zip(*data)]
     text = "\n".join(lines) + "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -161,18 +166,15 @@ def cmd_constants(args) -> int:
     return 0
 
 
-def _uncertainty_pairs(fig: str, params: MesonParams):
-    """Eigenvector-pair builders for the single-system figure presets."""
-    if fig in ("1a", "1b"):
-        q = Quasispin(0.5 * math.pi, 0.0)
-        fixed = spectral(effective_operator(q, 0.0, params))
-        return fixed, lambda t: spectral(effective_operator(q, t, params))
-    first = {"2a": KS_DIRECTION, "2b": KL_DIRECTION,
-             "2c": KS_DIRECTION, "2d": KL_DIRECTION}[fig]
-    second = {"2a": KS_DIRECTION, "2b": KS_DIRECTION,
-              "2c": KL_DIRECTION, "2d": KL_DIRECTION}[fig]
-    fixed = cp_eigenvectors(first, 0.0, params)
-    return fixed, lambda t: cp_eigenvectors(second, t, params)
+# (fixed at t = 0, scanned) questions of the CP-corrected figure presets
+_CP_QUESTIONS = {"2a": (KS_DIRECTION, KS_DIRECTION), "2b": (KL_DIRECTION, KS_DIRECTION),
+                 "2c": (KS_DIRECTION, KL_DIRECTION), "2d": (KL_DIRECTION, KL_DIRECTION)}
+
+
+def _bloch_axes(amps, t, params: MesonParams) -> np.ndarray:
+    """Checked Bloch vectors of the effective observables of amps at times t."""
+    w = _propagate(amps, t, params)
+    return _checked_bloch(w, _rank_one(w))
 
 
 def cmd_uncertainty(args) -> int:
@@ -181,18 +183,17 @@ def cmd_uncertainty(args) -> int:
     if fig in ("3a", "3b"):
         return _uncertainty_bipartite_fig(args, fig, out)
     if fig is not None:
-        params = {"1a": kaon_defaults(), "1b": stable_defaults()}.get(
-            fig, kaon_defaults())
-        defaults = {"1a": (0.0, 2.0 * math.pi, 201),
-                    "1b": (0.0, 2.0 * math.pi, 201)}.get(fig, (0.0, 8.0, 401))
-        grid = list(_grid(args, params, defaults))
+        params = stable_defaults() if fig == "1b" else kaon_defaults()
+        if fig in ("1a", "1b"):
+            fixed = scanned = Quasispin(0.5 * math.pi, 0.0).state_mass()
+            grid = _grid(args, params, (0.0, 2.0 * math.pi, 201))
+        else:
+            fixed, scanned = (cp_weights(q, params)[:2] for q in _CP_QUESTIONS[fig])
+            grid = _grid(args, params, (0.0, 8.0, 401))
         if fig in ("2a", "2b") and params.delta != 0.0:
             # include the exact complementary-time row, where the bound peaks
-            grid = sorted(set(grid) | {complementary_time(params)})
-        fixed, scan = _uncertainty_pairs(fig, params)
-
-        def pairs(t):
-            return scan(t), fixed
+            grid = np.array(sorted(set(grid) | {complementary_time(params)}))
+        n_1, n_2 = _bloch_axes(scanned, grid, params), _bloch_axes(fixed, 0.0, params)
     else:
         params = _system_params(args)
         if args.obs1 is None or args.obs2 is None:
@@ -200,48 +201,37 @@ def cmd_uncertainty(args) -> int:
         q1, t1 = _parse_obs(args.obs1)
         q2, t2 = _parse_obs(args.obs2)
         scale = _time_scale(args, params)
-        t1, t2 = t1 * scale, t2 * scale
         grid = _grid(args, params, (0.0, 6.0, 241))
-
-        def pairs(t):
-            u1 = t if args.scan in ("obs1", "both") else t1
-            u2 = t if args.scan in ("obs2", "both") else t2
-            return (spectral(effective_operator(q1, float(u1), params)),
-                    spectral(effective_operator(q2, float(u2), params)))
-    unit = _out_unit_factor(args, params)
-    rows = []
-    for t in grid:
-        rep = mu_bound(*pairs(float(t)))
-        rows.append([t * unit, rep.bound, rep.max_overlap,
-                     rep.argmax_pair[0], rep.argmax_pair[1]])
-    _write_csv(out, ["t", "bound", "max_overlap", "argmax_i", "argmax_j"], rows)
+        u1 = grid if args.scan in ("obs1", "both") else t1 * scale
+        u2 = grid if args.scan in ("obs2", "both") else t2 * scale
+        n_1, n_2 = (_bloch_axes(q.state_mass(), u, params)
+                    for q, u in ((q1, u1), (q2, u2)))
+    bound, best, argmax_j = _bloch_mu_bound(n_1, n_2)
+    _write_csv(out, ["t", "bound", "max_overlap", "argmax_i", "argmax_j"],
+               [grid * _out_unit_factor(args, params), bound, best, 1, argmax_j])
     return 0
 
 
 def _uncertainty_bipartite_fig(args, fig: str, out) -> int:
     params = kaon_defaults()
-    q = Quasispin(0.5 * math.pi, 0.0)
+    amps = Quasispin(0.5 * math.pi, 0.0).state_mass()
     grid = _grid(args, params, (0.0, 4.0, 201))
     unit = _out_unit_factor(args, params)
-    pair_0 = spectral(effective_operator(q, 0.0, params))
-    rows = []
-    for t in grid:
-        t = float(t)
-        pair_t = spectral(effective_operator(q, t, params))
-        # t1 = 0.25 j t is exactly 0 at j = 0 and exactly t at j = 4
-        pairs_t1 = ([pair_0]
-                    + [spectral(effective_operator(q, 0.25 * j * t, params))
-                       for j in (1, 2, 3)]
-                    + [pair_t])
-        for j, pair_t1 in enumerate(pairs_t1):
-            t1 = 0.25 * j * t
-            if fig == "3a":
-                rep = bipartite_mu_bound(pair_0, pair_t1, pair_t, pair_0)
-            else:
-                rep = bipartite_mu_bound(pair_0, pair_0, pair_t, pair_t1)
-            rows.append([t * unit, t1 * unit, rep.bound, rep.max_overlap,
-                         "".join(str(i) for i in rep.argmax_pair)])
-    _write_csv(out, ["t", "t1", "bound", "max_overlap", "argmax"], rows)
+    # t1 = 0.25 j t for j = 0..4: exactly 0 at j = 0 and exactly t at j = 4
+    t1 = 0.25 * np.arange(5) * grid[:, None]
+    n_0 = _bloch_axes(amps, 0.0, params)
+    n_t = _bloch_axes(amps, grid, params)[:, None]
+    n_t1 = _bloch_axes(amps, t1, params)
+    # product eigenbases: the bound is the sum of the one-sided bounds, the
+    # overlap the product of the one-sided maxima, argmax the digits 1 j_a 1 j_b
+    sides = ((n_0, n_t1), (n_t, n_0)) if fig == "3a" else ((n_0, n_0), (n_t, n_t1))
+    (bound_a, best_a, j_a), (bound_b, best_b, j_b) = (
+        _bloch_mu_bound(*side) for side in sides)
+    bound, best, argmax = (np.broadcast_to(x, t1.shape).ravel() for x in (
+        bound_a + bound_b, best_a * best_b, 1010 + 100 * j_a + j_b))
+    _write_csv(out, ["t", "t1", "bound", "max_overlap", "argmax"],
+               [np.repeat(grid * unit, 5), (t1 * unit).ravel(), bound, best,
+                argmax])
     return 0
 
 
@@ -312,15 +302,14 @@ def cmd_bell(args) -> int:
     quasispins = _parse_quasispins(args.quasispins) if args.quasispins else \
         (K0BAR_DIRECTION,) * 4
     grid = _grid(args, params, (0.0, 6.0, 601))
-    rows = scan_bell(policy, [float(t) for t in grid], params, quasispins)
-    unit = _out_unit_factor(args, params)
-    table = [[r.t * unit, r.lambda_min, r.lambda_max, r.summand_mu_bound,
-              CLASSICAL_BOUND, -CLASSICAL_BOUND, TSIRELSON_BOUND,
-              -TSIRELSON_BOUND] for r in rows]
+    t, lam_min, lam_max, mu = _scan_columns(policy, grid, params, quasispins,
+                                            False)
     _write_csv(_merged(args, "out", None),
                ["t", "lambda_min", "lambda_max", "summand_mu_bound",
                 "classical_hi", "classical_lo", "tsirelson_hi", "tsirelson_lo"],
-               table)
+               [t * _out_unit_factor(args, params), lam_min, lam_max, mu,
+                CLASSICAL_BOUND, -CLASSICAL_BOUND, TSIRELSON_BOUND,
+                -TSIRELSON_BOUND])
     return 0
 
 
@@ -370,6 +359,21 @@ def _verify_witness_sampling(params, seed) -> float:
     return worst
 
 
+def _verify_bloch_vs_eigenvectors(params, rng, trials) -> float:
+    """Bloch-axis bounds against mu_bound on hermitian_eigen eigenpairs."""
+    worst = 0.0
+    for _ in range(trials):
+        for build in (effective_operator, effective_operator_cp):
+            o_a, o_b = (build(Quasispin(rng.uniform(0, math.pi),
+                                        rng.uniform(0, 2 * math.pi)),
+                              rng.uniform(0.0, 2.0), params) for _ in range(2))
+            bound, best, _ = _bloch_mu_bound(o_a.bloch, o_b.bloch)
+            rep = mu_bound(*(eigenpair_from_matrix(o.matrix, o.basis)
+                             for o in (o_a, o_b)))
+            worst = max(worst, abs(bound - rep.bound), abs(best - rep.max_overlap))
+    return float(worst)
+
+
 def cmd_verify(args) -> int:
     params = _system_params(args)
     trials = int(_merged(args, "trials", 50))
@@ -380,10 +384,12 @@ def cmd_verify(args) -> int:
     dev_evo = _verify_closed_vs_integrator(params, rng, trials)
     dev_joint = _verify_effective_vs_joint(params, rng, trials)
     dev_bell = _verify_witness_sampling(params, seed)
+    dev_bloch = _verify_bloch_vs_eigenvectors(params, rng, trials)
     print(f"closed_vs_integrator_max_dev={dev_evo:.3e} (tolerance 1e-8)")
     print(f"effective_vs_joint_max_dev={dev_joint:.3e} (tolerance 1e-9)")
     print(f"witness_vs_sampling_max_dev={dev_bell:.3e} (tolerance 1e-8)")
-    ok = dev_evo < 1e-8 and dev_joint < 1e-9 and dev_bell < 1e-8
+    print(f"bloch_vs_eigenvector_max_dev={dev_bloch:.3e} (tolerance 1e-10)")
+    ok = dev_evo < 1e-8 and dev_joint < 1e-9 and dev_bell < 1e-8 and dev_bloch < 1e-10
     if args.literal_bipartite_generator:
         plus = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
         prod = pure_density(np.kron(plus, plus))

@@ -19,12 +19,12 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import (
-    CP_TO_STRANGENESS, ID2, MesonParams, Quasispin, cp_basis_data,
+    CP_TO_STRANGENESS, ID2, PAULI, MesonParams, Quasispin, cp_basis_data,
     hermitian_eigen, ks_state, kl_state, mass_to_strangeness_matrix,
     _canonical_phase, _entries, _require_finite,
 )
@@ -39,11 +39,12 @@ __all__ = [
 
 _DEGENERACY_TOL = 1e-14
 _RESIDUAL_TOL = 1e-10
+_PAULI_STACK = np.array(PAULI)
 
 
 @dataclass(frozen=True)
 class ObservableMatrix:
-    """Effective observable with its Bloch decomposition -n0*1 + bloch.sigma."""
+    """Effective observable -n0*1 + bloch.sigma = 2|w><w| - 1, w = amplitudes."""
 
     matrix: np.ndarray
     n0: float
@@ -53,6 +54,7 @@ class ObservableMatrix:
     params: MesonParams
     cp_corrected: bool = False
     basis: str = "mass"
+    amplitudes: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -108,10 +110,23 @@ def _rank_one(w: np.ndarray) -> np.ndarray:
 
 
 def _bloch(w: np.ndarray) -> tuple[float, np.ndarray]:
-    """Bloch data (n0, n) of 2|w><w| - 1; |n| = |w|^2 and n0 = 1 - |w|^2."""
-    c = 2.0 * w[0].conjugate() * w[1]
-    a_s, a_l = abs(w[0]) ** 2, abs(w[1]) ** 2
-    return 1.0 - (a_s + a_l), np.array([c.real, c.imag, a_s - a_l])
+    """Bloch data (n0, n) of 2|w><w| - 1, on the last axis of w; |n| = |w|^2."""
+    w_s, w_l = w.T
+    c = 2.0 * w_s.conjugate() * w_l
+    a_s, a_l = abs(w_s) ** 2, abs(w_l) ** 2
+    return (1.0 - (a_s + a_l)).T, np.array([c.real, c.imag, a_s - a_l]).T
+
+
+def _checked_bloch(w: np.ndarray, o: np.ndarray) -> np.ndarray:
+    """Bloch vectors n of o = 2|w><w| - 1, each -n0*1 + n.sigma checked against o.
+
+    w and o carry time on their leading axes.
+    """
+    n0, n = _bloch(w)
+    rebuilt = np.tensordot(n, _PAULI_STACK, axes=1) - np.multiply.outer(n0, ID2)
+    if not (abs(o - rebuilt) <= _RESIDUAL_TOL).all():
+        raise AssertionError("Bloch vector failed the residual check")
+    return n
 
 
 def _pair(w: np.ndarray, basis: str) -> EigenPair:
@@ -132,30 +147,6 @@ def _pair(w: np.ndarray, basis: str) -> EigenPair:
                      chi2=_canonical_phase(chi2 / norm), basis=basis)
 
 
-def _eigenvectors(w: np.ndarray, o: np.ndarray) -> np.ndarray:
-    """Eigenvector rows (chi1, chi2) of each 2|w><w| - 1 on the leading axes.
-
-    The stacked form of _pair without its phase convention: chi1 = w/|w|
-    and chi2 = (-w_L*, w_S*)/|w|, or the standard basis where |w|^2 falls
-    below the degeneracy tolerance.  Both rows are checked against the
-    observables o, as spectral checks its pair.
-    """
-    weight = (w * w.conj()).real.sum(axis=-1)
-    degenerate = weight < _DEGENERACY_TOL
-    chi = np.empty(w.shape + (2,), dtype=complex)
-    chi[..., 0, :] = w
-    chi[..., 1, 0] = -w[..., 1].conj()
-    chi[..., 1, 1] = w[..., 0].conj()
-    chi /= np.sqrt(np.where(degenerate, 1.0, weight))[..., None, None]
-    chi[degenerate] = ID2
-    lam = np.full(w.shape + (1,), -1.0)
-    lam[..., 0, 0] = np.where(degenerate, -1.0, 2.0 * weight - 1.0)
-    residual = chi @ o.swapaxes(-2, -1) - lam * chi
-    if not (np.linalg.norm(residual, axis=-1) <= _RESIDUAL_TOL).all():
-        raise AssertionError("analytic eigenvector failed the residual check")
-    return chi
-
-
 def bloch_vector(q: Quasispin, t: float, params: MesonParams) -> tuple[float, np.ndarray]:
     """Bloch data (n0, n) of the effective observable, t >= 0.
 
@@ -172,7 +163,7 @@ def effective_operator(q: Quasispin, t: float, params: MesonParams) -> Observabl
     w = _propagate(q.state_mass(), t, params)
     n0, n = _bloch(w)
     return ObservableMatrix(matrix=_rank_one(w), n0=n0, bloch=n,
-                            quasispin=q, time=t, params=params)
+                            quasispin=q, time=t, params=params, amplitudes=w)
 
 
 def spectral(o: ObservableMatrix) -> EigenPair:
@@ -180,16 +171,16 @@ def spectral(o: ObservableMatrix) -> EigenPair:
 
     chi1 is the forward-propagated quasispin w/|w|; chi2 its orthogonal
     complement, which the paper reads as the backward-in-time partner
-    chi(alpha+pi, phi+2t, -t).  Both are checked against o.matrix.
+    chi(alpha+pi, phi+2t, -t).  Both are read off the amplitudes w of o; for
+    an operator built by hand, w is propagated and checked against o.matrix.
     """
-    if o.cp_corrected:
-        return cp_eigenvectors(o.quasispin, o.time, o.params)
-    pair = _pair(_propagate(o.quasispin.state_mass(), o.time, o.params),
-                 o.basis)
-    for lam, chi in ((pair.lambda1, pair.chi1), (pair.lambda2, pair.chi2)):
-        if not np.linalg.norm(o.matrix @ chi - lam * chi) <= _RESIDUAL_TOL:
-            raise AssertionError("analytic eigenvector failed the residual check")
-    return pair
+    w = o.amplitudes
+    if w is None:
+        amps = (cp_weights(o.quasispin, o.params)[:2] if o.cp_corrected
+                else o.quasispin.state_mass())
+        w = _propagate(amps, o.time, o.params)
+        _checked_bloch(w, o.matrix)
+    return _pair(w, o.basis)
 
 
 @functools.lru_cache(maxsize=8)
@@ -249,7 +240,7 @@ def effective_operator_cp(q: Quasispin, t: float, params: MesonParams) -> Observ
     n0, n = _bloch(w)
     return ObservableMatrix(matrix=_rank_one(w), n0=n0, bloch=n,
                             quasispin=q, time=t, params=params,
-                            cp_corrected=True, basis="cp")
+                            cp_corrected=True, basis="cp", amplitudes=w)
 
 
 def effective_operator_cp_exact(q: Quasispin, t: float,

@@ -5,6 +5,11 @@ overlaps of two nondegenerate observables bounds the sum of their outcome
 entropies from below for every prepared state.  For decaying systems the
 eigenvectors carry the time evolution, so the bound directly quantifies the
 information lost between measurements at different times.
+
+Every effective observable is -n0*1 + n.sigma with eigenvectors at +-n^, so
+the largest squared overlap of two is (1 + |n^_A.n^_B|)/2: _bloch_mu_bound
+gets the bound from stacks of Bloch vectors, and mu_bound on eigenvector
+pairs is its independent oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import MesonParams, Quasispin, _require_finite
-from .effective import EigenPair, ObservableMatrix
+from .effective import _DEGENERACY_TOL, EigenPair, ObservableMatrix
 
 __all__ = [
     "UncertaintyReport", "binary_entropy", "mu_bound", "eigen_overlap",
@@ -26,6 +31,7 @@ __all__ = [
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 _TIE_TOL = 1e-12
+_Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -64,29 +70,9 @@ def _max_overlap(pair1: EigenPair, pair2: EigenPair) -> tuple[float, tuple]:
     return best, arg
 
 
-def _max_overlaps(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """_max_overlap's maximum, one per row of stacked eigenvector rows.
-
-    u and v hold the rows (chi1, chi2) of two bases on their last two axes;
-    the (i, j) table is scanned in the same order with the same tie rule.
-    """
-    table = np.abs(u.conj() @ v.swapaxes(-2, -1))
-    table = table.reshape(table.shape[:-2] + (4,))
-    best = table[..., 0]
-    for k in range(1, 4):
-        best = np.where(table[..., k] > best + _TIE_TOL, table[..., k], best)
-    return best
-
-
 def _report(best: float, arg: tuple) -> UncertaintyReport:
     return UncertaintyReport(bound=max(0.0, -2.0 * math.log2(min(best, 1.0))),
                              max_overlap=best, argmax_pair=arg)
-
-
-def _bounds(best: np.ndarray) -> np.ndarray:
-    """_report's bound for an array of maximal overlaps."""
-    bound = -2.0 * np.log2(np.minimum(best, 1.0))
-    return np.where(bound > 0.0, bound, 0.0)
 
 
 def mu_bound(pair1: EigenPair, pair2: EigenPair) -> UncertaintyReport:
@@ -101,6 +87,26 @@ def mu_bound(pair1: EigenPair, pair2: EigenPair) -> UncertaintyReport:
             if not abs(np.linalg.norm(chi) - 1.0) <= 1e-10:
                 raise ValueError("eigenvectors must be normalized")
     return _report(*_max_overlap(pair1, pair2))
+
+
+def _bloch_mu_bound(n_a: np.ndarray, n_b: np.ndarray):
+    """(bound, max_overlap, argmax_j) of mu_bound for each row of Bloch vectors.
+
+    n_a and n_b hold Bloch vectors on their last axis and broadcast.  With unit
+    axes a, b (+z below |n| = 1e-14, as in _pair) and d = a.b, the smaller
+    squared overlap s^2 = |a x b|^2 / (2 (1 + |d|)) is min(|a - b|^2, |a + b|^2)/4,
+    free of cancellation, and the bound is -log2(1 - s^2).  argmax_i is 1;
+    argmax_j is 2 only where d < 0 and (1, 2) beats (1, 1) by over 1e-12.
+    """
+    n = np.array(np.broadcast_arrays(n_a, n_b))
+    length = np.sqrt((n * n).sum(axis=-1, keepdims=True))
+    short = length < _DEGENERACY_TOL
+    a, b = np.where(short, _Z_AXIS, n / np.where(short, 1.0, length))
+    plus, minus = ((a + b) ** 2).sum(axis=-1), ((a - b) ** 2).sum(axis=-1)
+    s2 = 0.25 * np.minimum(plus, minus)
+    best = np.sqrt(1.0 - s2)
+    argmax_j = np.where((plus < minus) & (best > np.sqrt(s2) + _TIE_TOL), 2, 1)
+    return -np.log1p(-s2) / math.log(2.0), best, argmax_j
 
 
 def _side_terms(alpha: float, t: float, dg: float) -> tuple[float, float]:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mesonq.bell
 from mesonq import (
@@ -11,7 +13,7 @@ from mesonq import (
     singlet_state, spectral,
 )
 from mesonq.bell import TIME_POLICIES, BellSetting
-from mesonq.core import PAULI_Z, _require_hermitian
+from mesonq.core import PAULI, PAULI_Z, _require_hermitian
 from mesonq.effective import _rank_one, eigenpair_from_matrix
 from mesonq.evolution import _surviving_pair
 
@@ -232,6 +234,11 @@ def per_point_row(quasispins, times, params, cp_mode):
 
     Four effective operators, the eigenvalues of the 4x4 kron witness, and
     the summand bound from the eigenpairs of O_n, O_n' and O_m -/+ O_m'.
+    The B pairs come from the traceless parts (n_m -/+ n_m').sigma, which
+    have the same eigenvectors: the matrices hold their identity part -n0
+    only to 1e-16 absolute, and eigh on them loses direction digits where
+    the gap 2|n_m -/+ n_m'| is small (1.1e-11 in the bound at t = 10 for
+    the B meson, against a 50-digit evaluation).
     """
     build = effective_operator_cp if cp_mode else effective_operator
     o_n, o_m, o_np, o_mp = (build(q, t, params)
@@ -239,8 +246,10 @@ def per_point_row(quasispins, times, params, cp_mode):
     bell = (np.kron(o_n.matrix, o_m.matrix - o_mp.matrix)
             + np.kron(o_np.matrix, o_m.matrix + o_mp.matrix))
     vals = hermitian_eigen(bell).eigenvalues
-    pair_b1 = eigenpair_from_matrix(o_m.matrix - o_mp.matrix, gap_tol=1e-12)
-    pair_b2 = eigenpair_from_matrix(o_m.matrix + o_mp.matrix, gap_tol=1e-12)
+    pair_b1, pair_b2 = (
+        eigenpair_from_matrix(np.tensordot(n, np.array(PAULI), axes=1),
+                              gap_tol=1e-12)
+        for n in (o_m.bloch - o_mp.bloch, o_m.bloch + o_mp.bloch))
     if pair_b1.degenerate or pair_b2.degenerate:
         mu = 0.0
     else:
@@ -326,6 +335,25 @@ class TestBatchedScan:
                             lambda w: _rank_one(w) + 1e-6 * PAULI_Z)
         with pytest.raises(AssertionError, match="residual check"):
             scan_bell("alternating-1", [0.5, 1.0], kaon)
+
+    @given(params=st.sampled_from(SCAN_PRESETS), cp_mode=st.booleans(),
+           angles=st.lists(st.floats(0.0, math.pi), min_size=8, max_size=8),
+           times=st.lists(st.one_of(st.just(0.0), st.floats(0.0, 10.0)),
+                          min_size=4, max_size=4),
+           tie_b=st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_summand_bound_matches_eigh_route(self, params, cp_mode, angles,
+                                              times, tie_b):
+        qs = [Quasispin(a, 2.0 * f) for a, f in zip(angles[::2], angles[1::2])]
+        if tie_b:  # O_m = O_m' makes the B factor O_m - O_m' degenerate
+            qs[3], times[3] = qs[1], times[1]
+        s = BellSetting(qs[0], times[0], qs[1], times[1], qs[2], times[2],
+                        qs[3], times[3], cp_mode=cp_mode)
+        mu = bell_bounds(s, params).summand_mu_bound
+        want = per_point_row(qs, times, params, cp_mode)[2]
+        assert abs(mu - want) <= 1e-11
+        if tie_b:
+            assert mu == want == 0.0
 
     def test_negative_grid_time_rejected(self, kaon):
         with pytest.raises(ValueError, match="nonnegative"):

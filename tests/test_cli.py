@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import mesonq.cli
 from mesonq.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -162,6 +163,21 @@ class TestVerify:
         _, out1 = run(capsys, "verify", "--trials", "1", "--seed", "11")
         _, out2 = run(capsys, "verify", "--trials", "1", "--seed", "11")
         assert out1 == out2
+
+    def test_bloch_line_counts_toward_the_verdict(self, capsys, monkeypatch):
+        _, out = run(capsys, "verify", "--trials", "2")
+        m = re.search(r"bloch_vs_eigenvector_max_dev=([0-9.e+-]+) "
+                      r"\(tolerance 1e-10\)", out)
+        assert m and float(m.group(1)) < 1e-10
+        bloch_mu_bound = mesonq.cli._bloch_mu_bound
+
+        def shifted(n_a, n_b):
+            bound, best, arg = bloch_mu_bound(n_a, n_b)
+            return bound + 1e-9, best, arg
+
+        monkeypatch.setattr(mesonq.cli, "_bloch_mu_bound", shifted)
+        code, out = run(capsys, "verify", "--trials", "2")
+        assert code == 1 and "verify: FAIL" in out
 
     def test_literal_generator_reports_breach(self, capsys):
         code, out = run(capsys, "verify", "--trials", "1",

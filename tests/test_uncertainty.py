@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from mesonq import (
     KL_DIRECTION, KS_DIRECTION, MesonParams, Quasispin, binary_entropy,
-    kaon_defaults,
+    bmeson_defaults, kaon_defaults,
     bipartite_mu_bound, complementary_time, cp_eigenvectors, cp_overlap_ks,
-    delta_for_equal_times, effective_operator, eigen_overlap, misid_time,
-    mu_bound, robertson_check, spectral,
+    delta_for_equal_times, effective_operator, effective_operator_cp,
+    eigen_overlap, misid_time, mu_bound, robertson_check, spectral,
 )
-from mesonq.effective import EigenPair
+from mesonq.core import PAULI
+from mesonq.effective import EigenPair, eigenpair_from_matrix
+from mesonq.uncertainty import _bloch_mu_bound
 
 from conftest import random_pure_state
 
@@ -423,3 +425,67 @@ class TestBoundStructure:
         for t in np.arange(0.01, 10.0, 0.05):
             moving = spectral(effective_operator(STRANGENESS, float(t), kaon))
             assert mu_bound(moving, fixed).bound > 0.0
+
+
+def eigh_pair(o):
+    """hermitian_eigen eigenpair of n.sigma/|n|, the scaled traceless part of o.
+
+    It has the eigenvectors of o.matrix, whose entries hold the identity
+    part -n0 only to 1e-16 absolute: eigh on o.matrix would lose digits of
+    the direction where |n| is small, and below a gap of 1e-12 hermitian_eigen
+    reorders a pair it takes as degenerate.  Below |n| = 1e-14 it is the
+    standard basis, as for spectral.
+    """
+    length = np.linalg.norm(o.bloch)
+    n = o.bloch / length if length >= 1e-14 else (0.0, 0.0, 1.0)
+    return eigenpair_from_matrix(np.tensordot(n, np.array(PAULI), axes=1),
+                                 o.basis)
+
+
+# times in [0, 2000] dm, with a share of short times where decay has not yet
+# shrunk the Bloch vectors to nothing
+TIMES = st.one_of(st.floats(0.0, 10.0), st.floats(0.0, 2000.0))
+
+
+class TestBlochForm:
+    @given(params=st.sampled_from([kaon_defaults(), bmeson_defaults()]),
+           cp=st.booleans(),
+           alpha_a=st.floats(0.0, math.pi), phi_a=st.floats(0.0, 2 * math.pi),
+           alpha_b=st.floats(0.0, math.pi), phi_b=st.floats(0.0, 2 * math.pi),
+           t_a=TIMES, t_b=TIMES)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_mu_bound_on_eigenpairs(self, params, cp, alpha_a, phi_a,
+                                            alpha_b, phi_b, t_a, t_b):
+        build = effective_operator_cp if cp else effective_operator
+        o_a = build(Quasispin(alpha_a, phi_a), t_a, params)
+        o_b = build(Quasispin(alpha_b, phi_b), t_b, params)
+        bound, best, argmax_j = _bloch_mu_bound(o_a.bloch, o_b.bloch)
+        pair_a, pair_b = eigh_pair(o_a), eigh_pair(o_b)
+        # |<chi1|chi1>|^2 = (1 + d)/2, with d the product of the unit axes
+        d = 2.0 * abs(np.vdot(pair_a.chi1, pair_b.chi1)) ** 2 - 1.0
+        for rep in (mu_bound(pair_a, pair_b),
+                    mu_bound(spectral(o_a), spectral(o_b))):
+            assert abs(bound - rep.bound) <= 1e-11
+            assert abs(best - rep.max_overlap) <= 1e-11
+            if abs(d) > 1e-9:
+                assert rep.argmax_pair == (1, int(argmax_j))
+
+    def test_stacks_broadcast_row_by_row(self, kaon):
+        ops = [effective_operator(Quasispin(0.3 * k, 0.7 * k), 0.5 * k, kaon)
+               for k in range(6)]
+        n = np.array([o.bloch for o in ops])
+        bound, best, argmax_j = _bloch_mu_bound(n[:, None], n[None, :])
+        assert bound.shape == best.shape == argmax_j.shape == (6, 6)
+        for i, j in itertools.product(range(6), repeat=2):
+            rep = mu_bound(spectral(ops[i]), spectral(ops[j]))
+            assert abs(bound[i, j] - rep.bound) <= 1e-12
+            assert abs(best[i, j] - rep.max_overlap) <= 1e-12
+
+    def test_short_vectors_take_the_z_axis(self):
+        bound, best, argmax_j = _bloch_mu_bound(
+            np.array([[0.0, 0.0, 0.0], [5e-15, 0.0, 0.0], [0.0, 0.0, -1e-15]]),
+            np.array([1.0, 0.0, 0.0]))
+        assert np.allclose(bound, 1.0, atol=1e-15)
+        assert (argmax_j == 1).all()
+        bound, best, argmax_j = _bloch_mu_bound(np.zeros(3), (0.0, 0.0, -0.5))
+        assert (bound, best, argmax_j) == (0.0, 1.0, 2)
