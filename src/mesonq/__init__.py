@@ -1,10 +1,10 @@
 """Effective-operator toolkit for oscillating, decaying two-state systems."""
 
 from .core import (
-    CpBasisData, MesonParams, Quasispin, SpectralDecomp, StateVector,
+    CpBasisData, MesonParams, Quasispin,
     K0BAR_DIRECTION, K0_DIRECTION, KL_DIRECTION, KS_DIRECTION,
-    basis_convert, bmeson_defaults, cp_basis_data, hermitian_eigen,
-    kaon_defaults, stable_defaults,
+    bmeson_defaults, cp_basis_data, hermitian_eigen, kaon_defaults,
+    stable_defaults,
 )
 from .effective import (
     EigenPair, ObservableMatrix, bipartite_expectation, bloch_vector,

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    K0BAR_DIRECTION, MesonParams, Quasispin, cp_basis_data, hermitian_eigen,
-    k0bar_state, k1_state, kl_state, ks_state, _entries, _require_hermitian,
+    K0BAR_DIRECTION, MesonParams, Quasispin, cp_basis_data, k0bar_state,
+    k1_state, kl_state, ks_state, _entries, _require_hermitian,
 )
 from .effective import (
     ObservableMatrix, cp_weights, effective_operator, effective_operator_cp,
@@ -234,8 +234,9 @@ def cp_bell_test(delta: float, tol: float = 1e-9) -> CpBellReport:
 
     def run(first_state):
         ops = (_rank_one(first_state), o_k0bar, o_k1, o_k1)
-        lam_max = float(hermitian_eigen(_witness(*ops)).eigenvalues[0])
-        return _chsh(*ops, singlet).s, lam_max
+        bell = _witness(*ops)
+        _require_hermitian(bell)
+        return _chsh(*ops, singlet).s, float(np.linalg.eigvalsh(bell)[-1])
 
     s_ks, lam_ks = run(ks_state(cp))
     s_kl, lam_kl = run(kl_state(cp))
@@ -288,8 +289,17 @@ def sample_witness_max(bell: np.ndarray, n_states: int = 10_000,
 
     Optional refinement runs power iteration (matrix-vector products only)
     from the best sample, converging on the top eigenvalue without calling
-    an eigensolver; this keeps the check independent of hermitian_eigen.
+    an eigensolver, so the check stays independent of the eigenvalue routes
+    it tests.  bell must be a finite Hermitian 4x4 matrix and n_states >= 1.
     """
+    bell = np.asarray(bell, dtype=complex)
+    if bell.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 witness, got shape {bell.shape}")
+    if not np.isfinite(bell).all():
+        raise ValueError("witness entries must be finite")
+    _require_hermitian(bell)
+    if n_states < 1:
+        raise ValueError(f"n_states must be at least 1, got {n_states}")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n_states, 4)) + 1j * rng.standard_normal((n_states, 4))
     z /= np.linalg.norm(z, axis=1, keepdims=True)

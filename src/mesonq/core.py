@@ -1,4 +1,4 @@
-"""Shared numerics: system parameters, quasispins, eigensolver, basis changes.
+"""Shared numerics: system parameters, quasispins, CP mixing data, eigensolver.
 
 All times are measured in units of the mass splitting (Delta m := 1) and the
 decay widths are rescaled by the same factor.  The strangeness basis
@@ -19,10 +19,10 @@ __all__ = [
     "PAULI_X", "PAULI_Y", "PAULI_Z", "ID2", "PAULI",
     "MesonParams", "kaon_defaults", "bmeson_defaults", "stable_defaults",
     "Quasispin", "KS_DIRECTION", "KL_DIRECTION", "K0_DIRECTION", "K0BAR_DIRECTION",
-    "StateVector", "SpectralDecomp", "hermitian_eigen",
+    "hermitian_eigen",
     "CpBasisData", "cp_basis_data",
     "k0_state", "k0bar_state", "k1_state", "k2_state", "ks_state", "kl_state",
-    "mass_to_strangeness_matrix", "CP_TO_STRANGENESS", "basis_convert",
+    "mass_to_strangeness_matrix", "CP_TO_STRANGENESS",
 ]
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -32,7 +32,6 @@ ID2 = np.eye(2, dtype=complex)
 PAULI = (PAULI_X, PAULI_Y, PAULI_Z)
 
 HERMITICITY_TOL = 1e-10
-_TIE_TOL = 1e-12
 
 # Kaon constants.  The short width follows from tau_S = 5.4/11.4 in
 # mass-splitting units; the width ratio from the measured lifetimes
@@ -146,6 +145,8 @@ class Quasispin:
         v = np.asarray(v, dtype=complex)
         if v.shape != (2,):
             raise ValueError("expected a two-component state")
+        if not np.isfinite(v).all():
+            raise ValueError("state entries must be finite")
         norm = np.linalg.norm(v)
         if norm < 1e-14:
             raise ValueError("zero vector has no direction")
@@ -161,90 +162,28 @@ K0_DIRECTION = Quasispin(0.5 * math.pi, 0.0)
 K0BAR_DIRECTION = Quasispin(0.5 * math.pi, math.pi)
 
 
-@dataclass(frozen=True)
-class StateVector:
-    """State amplitudes with a basis tag ('mass', 'strangeness' or 'cp')."""
-
-    components: np.ndarray
-    basis: str
-
-    def __post_init__(self):
-        comps = np.asarray(self.components, dtype=complex)
-        if comps.shape not in ((2,), (4,), (16,)):
-            raise ValueError("state dimension must be 2, 4 or 16")
-        object.__setattr__(self, "components", comps)
-        if self.basis not in ("mass", "strangeness", "cp"):
-            raise ValueError(f"unknown basis tag: {self.basis!r}")
-
-    @property
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.components))
-
-
-def _canonical_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate the global phase so the first non-tiny component is real positive."""
-    for x in v:
-        if abs(x) > 1e-12:
-            return v * (x.conjugate() / abs(x))
-    return v
-
-
-def _lex_key(v: np.ndarray):
-    return tuple(np.round(v.real, 12))
-
-
-@dataclass(frozen=True)
-class SpectralDecomp:
-    """Eigenvalues (descending) and orthonormal eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
-
-
-def _require_hermitian(m: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
+def _require_hermitian(m: np.ndarray) -> None:
     """Raise unless each matrix on the leading axes of m is Hermitian.
 
-    The tolerance is tol times the matrix scale max(1, max |m_ij|), which is
-    returned, one per matrix.
+    The tolerance is HERMITICITY_TOL times the matrix scale max(1, max |m_ij|).
     """
     scale = np.maximum(1.0, np.abs(m).max(axis=(-2, -1)))
     if not (np.abs(m - m.conj().swapaxes(-2, -1)).max(axis=(-2, -1))
-            <= tol * scale).all():
+            <= HERMITICITY_TOL * scale).all():
         raise ValueError("not hermitian")
-    return scale
 
 
-def hermitian_eigen(m: np.ndarray, tol: float = HERMITICITY_TOL) -> SpectralDecomp:
-    """Eigendecomposition of a small Hermitian matrix, deterministically ordered.
+def hermitian_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues (descending) and eigenvector columns of a Hermitian matrix.
 
-    Eigenvalues are sorted descending; inside a degenerate group the
-    eigenvectors are ordered lexicographically by the real parts of their
-    (phase-canonicalized) components.
+    m must be square of dimension 2, 4 or 16 and pass the Hermiticity check.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4, 16):
         raise ValueError("expected a square matrix of dimension 2, 4 or 16")
-    scale = float(_require_hermitian(m, tol))
-    vals, vecs = np.linalg.eigh(0.5 * (m + m.conj().T))
-    order = np.argsort(-vals, kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
-    vecs = np.column_stack([_canonical_phase(vecs[:, i]) for i in range(len(vals))])
-
-    # stable ordering inside numerically degenerate groups
-    i = 0
-    while i < len(vals):
-        j = i + 1
-        while j < len(vals) and abs(vals[j] - vals[i]) <= _TIE_TOL * scale:
-            j += 1
-        if j - i > 1:
-            cols = sorted(range(i, j), key=lambda k: _lex_key(vecs[:, k]))
-            vecs[:, i:j] = vecs[:, cols]
-        i = j
-    return SpectralDecomp(eigenvalues=vals, eigenvectors=vecs)
+    _require_hermitian(m)
+    vals, vecs = np.linalg.eigh(m)
+    return vals[::-1], vecs[:, ::-1]
 
 
 @dataclass(frozen=True)
@@ -306,38 +245,3 @@ def mass_to_strangeness_matrix(cp: CpBasisData) -> np.ndarray:
 
 
 CP_TO_STRANGENESS = np.column_stack([k1_state(), k2_state()])
-
-
-def _transform_2dim(source: str, target: str, cp: CpBasisData) -> np.ndarray:
-    to_str = {
-        "strangeness": ID2,
-        "mass": mass_to_strangeness_matrix(cp),
-        "cp": CP_TO_STRANGENESS,
-    }
-    return np.linalg.inv(to_str[target]) @ to_str[source]
-
-
-def basis_convert(v: StateVector, target: str,
-                  cp: CpBasisData | None = None) -> StateVector:
-    """Re-express a state in another basis tag.
-
-    For delta != 0 the mass basis is skewed; its components are expansion
-    coefficients and the conversion routes through the orthonormal
-    strangeness frame.  Four- and sixteen-dimensional states transform on
-    their surviving slots only (decay slots are basis independent).
-    """
-    if target not in ("mass", "strangeness", "cp"):
-        raise ValueError(f"unknown basis tag: {target!r}")
-    if cp is None:
-        cp = cp_basis_data(0.0)
-    if target == v.basis:
-        return StateVector(v.components.copy(), v.basis)
-    t2 = _transform_2dim(v.basis, target, cp)
-    dim = v.components.shape[0]
-    if dim == 2:
-        full = t2
-    else:
-        t4 = np.eye(4, dtype=complex)
-        t4[:2, :2] = t2
-        full = t4 if dim == 4 else np.kron(t4, t4)
-    return StateVector(full @ v.components, target)

@@ -26,7 +26,7 @@ import numpy as np
 from .core import (
     CP_TO_STRANGENESS, ID2, PAULI, MesonParams, Quasispin, cp_basis_data,
     hermitian_eigen, ks_state, kl_state, mass_to_strangeness_matrix,
-    _canonical_phase, _entries, _require_finite,
+    _entries, _require_finite,
 )
 
 __all__ = [
@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _DEGENERACY_TOL = 1e-14
+_GAP_TOL = 1e-12
 _RESIDUAL_TOL = 1e-10
 _PAULI_STACK = np.array(PAULI)
 
@@ -142,9 +143,8 @@ def _pair(w: np.ndarray, basis: str) -> EigenPair:
                          lambda2=-1.0, chi2=np.array([0.0, 1.0 + 0j]),
                          degenerate=True, basis=basis)
     chi2 = np.array([-w[1].conjugate(), w[0].conjugate()])
-    return EigenPair(lambda1=2.0 * weight - 1.0,
-                     chi1=_canonical_phase(w / norm), lambda2=-1.0,
-                     chi2=_canonical_phase(chi2 / norm), basis=basis)
+    return EigenPair(lambda1=2.0 * weight - 1.0, chi1=w / norm, lambda2=-1.0,
+                     chi2=chi2 / norm, basis=basis)
 
 
 def bloch_vector(q: Quasispin, t: float, params: MesonParams) -> tuple[float, np.ndarray]:
@@ -275,14 +275,15 @@ def cp_eigenvectors(q: Quasispin, t: float, params: MesonParams,
     return _pair(_propagate((amp_s, amp_l), t, params), "cp")
 
 
-def eigenpair_from_matrix(m: np.ndarray, basis: str = "mass",
-                          gap_tol: float = 1e-12) -> EigenPair:
-    """EigenPair of a generic 2x2 Hermitian operator (descending eigenvalues)."""
-    dec = hermitian_eigen(m)
-    lam = dec.eigenvalues
-    return EigenPair(lambda1=float(lam[0]), chi1=dec.eigenvectors[:, 0],
-                     lambda2=float(lam[1]), chi2=dec.eigenvectors[:, 1],
-                     degenerate=bool(lam[0] - lam[1] <= gap_tol), basis=basis)
+def eigenpair_from_matrix(m: np.ndarray, basis: str = "mass") -> EigenPair:
+    """EigenPair of a generic 2x2 Hermitian operator (descending eigenvalues).
+
+    The pair is flagged degenerate when its gap is at most 1e-12.
+    """
+    lam, vecs = hermitian_eigen(m)
+    return EigenPair(lambda1=float(lam[0]), chi1=vecs[:, 0],
+                     lambda2=float(lam[1]), chi2=vecs[:, 1],
+                     degenerate=bool(lam[0] - lam[1] <= _GAP_TOL), basis=basis)
 
 
 def expectation(o: ObservableMatrix, rho0) -> float:

@@ -37,10 +37,9 @@ _MASK16 = np.kron(_MASK4, _MASK4)
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian PSD state on 2, 4 or 16 dimensions with a basis tag."""
+    """Hermitian PSD state on 2, 4 or 16 dimensions."""
 
     entries: np.ndarray
-    basis: str = "mass"
 
     def __post_init__(self):
         m = np.asarray(self.entries, dtype=complex)
@@ -73,9 +72,9 @@ class DensityMatrix:
         return float(np.trace(m).real)
 
 
-def pure_density(v: np.ndarray, basis: str = "mass") -> DensityMatrix:
+def pure_density(v: np.ndarray) -> DensityMatrix:
     v = np.asarray(v, dtype=complex)
-    return DensityMatrix(np.outer(v, v.conj()), basis=basis)
+    return DensityMatrix(np.outer(v, v.conj()))
 
 
 def embed_surviving(rho2: np.ndarray) -> np.ndarray:

@@ -9,8 +9,8 @@ import mesonq.bell
 from mesonq import (
     K0BAR_DIRECTION, MesonParams, Quasispin, bell_bounds, bell_operator,
     bipartite_mu_bound, bmeson_defaults, chsh_value, cp_bell_test,
-    effective_operator, effective_operator_cp, hermitian_eigen, kaon_defaults, sample_witness_max, scan_bell,
-    singlet_state, spectral,
+    effective_operator, effective_operator_cp, hermitian_eigen, kaon_defaults,
+    sample_witness_max, scan_bell, singlet_state, spectral,
 )
 from mesonq.bell import TIME_POLICIES, BellSetting
 from mesonq.core import PAULI, PAULI_Z, _require_hermitian
@@ -42,7 +42,7 @@ class TestBellOperator:
         assert np.abs(b - b.conj().T).max() < 1e-14
 
     def test_planar_spectrum_reaches_tsirelson(self, kaon):
-        vals = hermitian_eigen(bell_operator(planar_setting(), kaon)).eigenvalues
+        vals = hermitian_eigen(bell_operator(planar_setting(), kaon))[0]
         assert vals[0] == pytest.approx(2.0 * SQRT2, abs=1e-9)
         assert vals[-1] == pytest.approx(-2.0 * SQRT2, abs=1e-9)
 
@@ -50,7 +50,7 @@ class TestBellOperator:
         k = K0BAR_DIRECTION
         s = BellSetting(Quasispin(0.3, 0.0), 0.0, k, 0.0, Quasispin(1.1, 0.0),
                         0.0, k, 0.0)
-        vals = hermitian_eigen(bell_operator(s, kaon)).eigenvalues
+        vals = hermitian_eigen(bell_operator(s, kaon))[0]
         # O_m = O_m' makes the witness 2 O_n' x O_m with spectrum {+-2}
         assert np.allclose(np.abs(vals), 2.0, atol=1e-12)
 
@@ -60,7 +60,7 @@ class TestBellOperator:
                   for _ in range(4)]
             ts = rng.uniform(0, 4, 4)
             s = BellSetting(qs[0], ts[0], qs[1], ts[1], qs[2], ts[2], qs[3], ts[3])
-            vals = hermitian_eigen(bell_operator(s, kaon)).eigenvalues
+            vals = hermitian_eigen(bell_operator(s, kaon))[0]
             assert np.abs(vals).max() <= 4.0 + 1e-12
 
 
@@ -97,6 +97,27 @@ class TestBellBounds:
         lam = bell_bounds(planar_setting(), kaon).lambda_max
         assert sample_witness_max(b, 10_000) <= lam + 1e-9
         assert abs(sample_witness_max(b, 10_000, refine_steps=300) - lam) < 1e-8
+
+
+class TestSampleWitnessMax:
+    def test_non_finite_witness_rejected(self):
+        b = np.eye(4, dtype=complex)
+        b[1, 1] = math.nan
+        with pytest.raises(ValueError, match="witness entries must be finite"):
+            sample_witness_max(b, 100)
+
+    def test_non_hermitian_witness_rejected(self):
+        with pytest.raises(ValueError, match="not hermitian"):
+            sample_witness_max(np.triu(np.ones((4, 4))), 100)
+
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="expected a 4x4 witness"):
+            sample_witness_max(np.eye(2), 100)
+
+    def test_no_states_rejected(self, kaon):
+        b = bell_operator(planar_setting(), kaon)
+        with pytest.raises(ValueError, match="n_states must be at least 1"):
+            sample_witness_max(b, 0)
 
 
 class TestChshValue:
@@ -245,10 +266,9 @@ def per_point_row(quasispins, times, params, cp_mode):
                             for q, t in zip(quasispins, times))
     bell = (np.kron(o_n.matrix, o_m.matrix - o_mp.matrix)
             + np.kron(o_np.matrix, o_m.matrix + o_mp.matrix))
-    vals = hermitian_eigen(bell).eigenvalues
+    vals = hermitian_eigen(bell)[0]
     pair_b1, pair_b2 = (
-        eigenpair_from_matrix(np.tensordot(n, np.array(PAULI), axes=1),
-                              gap_tol=1e-12)
+        eigenpair_from_matrix(np.tensordot(n, np.array(PAULI), axes=1))
         for n in (o_m.bloch - o_mp.bloch, o_m.bloch + o_mp.bloch))
     if pair_b1.degenerate or pair_b2.degenerate:
         mu = 0.0

@@ -6,11 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mesonq import (
-    K0BAR_DIRECTION, MesonParams, Quasispin, StateVector, basis_convert,
-    bmeson_defaults, cp_basis_data, hermitian_eigen, kaon_defaults,
-    stable_defaults,
+    K0BAR_DIRECTION, MesonParams, Quasispin, bmeson_defaults, cp_basis_data,
+    hermitian_eigen, kaon_defaults, stable_defaults,
 )
-from mesonq.core import k0bar_state, k1_state, kl_state, ks_state
+from mesonq.core import (
+    k0bar_state, k1_state, kl_state, ks_state, mass_to_strangeness_matrix,
+)
 
 from conftest import random_pure_state
 
@@ -73,6 +74,11 @@ class TestQuasispin:
         assert v[0] == pytest.approx(s)
         assert v[1] == pytest.approx(s * np.exp(1j * math.pi / 3))
 
+    def test_from_mass_state_rejects_non_finite(self):
+        for bad in ([math.nan, 0.0], [1.0, math.inf], [-math.inf, math.nan]):
+            with pytest.raises(ValueError, match="state entries must be finite"):
+                Quasispin.from_mass_state(np.array(bad))
+
     def test_from_mass_state_roundtrip(self, rng):
         for _ in range(20):
             v = random_pure_state(rng)
@@ -89,36 +95,35 @@ class TestQuasispin:
 
 class TestHermitianEigen:
     def test_identity(self):
-        dec = hermitian_eigen(np.eye(2))
-        assert np.allclose(dec.eigenvalues, [1.0, 1.0])
+        vals, vecs = hermitian_eigen(np.eye(2))
+        assert np.allclose(vals, [1.0, 1.0])
         # degenerate pair comes out orthonormal and deterministic
-        again = hermitian_eigen(np.eye(2))
-        assert np.array_equal(dec.eigenvectors, again.eigenvectors)
-        assert np.allclose(dec.eigenvectors.conj().T @ dec.eigenvectors, np.eye(2))
+        again = hermitian_eigen(np.eye(2))[1]
+        assert np.array_equal(vecs, again)
+        assert np.allclose(vecs.conj().T @ vecs, np.eye(2))
 
     def test_pauli_z(self):
         sz = np.diag([1.0, -1.0]).astype(complex)
-        dec = hermitian_eigen(sz)
-        assert np.allclose(dec.eigenvalues, [1.0, -1.0])
-        assert abs(dec.eigenvectors[0, 0]) == pytest.approx(1.0)
-        assert abs(dec.eigenvectors[1, 1]) == pytest.approx(1.0)
+        vals, vecs = hermitian_eigen(sz)
+        assert np.allclose(vals, [1.0, -1.0])
+        assert abs(vecs[0, 0]) == pytest.approx(1.0)
+        assert abs(vecs[1, 1]) == pytest.approx(1.0)
 
     def test_random_4x4_invariants(self, rng):
         z = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         m = 0.5 * (z + z.conj().T)
-        dec = hermitian_eigen(m)
-        assert abs(dec.eigenvalues.sum() - np.trace(m).real) < 1e-12
-        assert abs(np.prod(dec.eigenvalues) - np.linalg.det(m).real) < 1e-10
-        assert np.abs(dec.reconstruct() - m).max() < 1e-10
-        gram = dec.eigenvectors.conj().T @ dec.eigenvectors
-        assert np.abs(gram - np.eye(4)).max() < 1e-10
-        assert np.all(np.diff(dec.eigenvalues) <= 1e-12)
+        vals, vecs = hermitian_eigen(m)
+        assert abs(vals.sum() - np.trace(m).real) < 1e-12
+        assert abs(np.prod(vals) - np.linalg.det(m).real) < 1e-10
+        assert np.abs((vecs * vals) @ vecs.conj().T - m).max() < 1e-10
+        assert np.abs(vecs.conj().T @ vecs - np.eye(4)).max() < 1e-10
+        assert np.all(np.diff(vals) <= 1e-12)
 
     def test_16_dim(self, rng):
         z = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
         m = 0.5 * (z + z.conj().T)
-        dec = hermitian_eigen(m)
-        assert np.abs(dec.reconstruct() - m).max() < 1e-9
+        vals, vecs = hermitian_eigen(m)
+        assert np.abs((vecs * vals) @ vecs.conj().T - m).max() < 1e-9
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="not hermitian"):
@@ -167,51 +172,29 @@ class TestCpBasisData:
 
 
 class TestBasisConvert:
+    """Mass and strangeness coordinates through M = mass_to_strangeness_matrix.
+
+    The columns of M are K_S and K_L; the mass amplitudes c of a state with
+    strangeness components v solve M c = v.
+    """
+
     def test_ks_to_strangeness(self):
-        v = StateVector(np.array([1.0, 0.0]), "mass")
-        w = basis_convert(v, "strangeness")
+        m = mass_to_strangeness_matrix(cp_basis_data(0.0))
         s = 1.0 / math.sqrt(2.0)
-        assert np.allclose(w.components, [s, -s], atol=1e-14)
+        assert np.allclose(m @ [1.0, 0.0], [s, -s], atol=1e-14)
 
     def test_k0bar_to_mass_is_antisymmetric_direction(self):
-        v = StateVector(k0bar_state(), "strangeness")
-        w = basis_convert(v, "mass")
+        m = mass_to_strangeness_matrix(cp_basis_data(0.0))
+        c = np.linalg.solve(m, k0bar_state())
         s = 1.0 / math.sqrt(2.0)
-        assert np.allclose(w.components, [-s, s], atol=1e-14)
-        q = Quasispin.from_mass_state(w.components)
+        assert np.allclose(c, [-s, s], atol=1e-14)
+        q = Quasispin.from_mass_state(c)
         assert q.alpha == pytest.approx(math.pi / 2)
         assert q.phi == pytest.approx(math.pi)
         assert q.alpha == K0BAR_DIRECTION.alpha and q.phi == K0BAR_DIRECTION.phi
 
     def test_cp_plus_state_is_short_lived_at_zero_delta(self):
-        v = StateVector(k1_state(), "strangeness")
-        w = basis_convert(v, "mass")
-        assert np.allclose(w.components, [1.0, 0.0], atol=1e-14)
-
-    def test_roundtrips(self, rng):
-        cp = cp_basis_data(0.2)
-        for source in ("mass", "strangeness", "cp"):
-            for target in ("mass", "strangeness", "cp"):
-                v = StateVector(random_pure_state(rng), source)
-                w = basis_convert(basis_convert(v, target, cp), source, cp)
-                assert np.abs(w.components - v.components).max() < 1e-12
-
-    def test_orthonormal_conversions_preserve_norm(self, rng):
-        # with delta = 0 every basis here is orthonormal
-        for target in ("mass", "cp"):
-            v = StateVector(random_pure_state(rng), "strangeness")
-            assert basis_convert(v, target).norm == pytest.approx(1.0, abs=1e-12)
-
-    def test_blockwise_four_dim(self):
-        vec = np.array([1.0, 0.0, 0.3, 0.4])
-        v = StateVector(vec / np.linalg.norm(vec), "mass")
-        w = basis_convert(v, "strangeness")
-        # decay slots are basis independent
-        assert np.allclose(w.components[2:], v.components[2:])
-
-    def test_unknown_basis(self):
-        v = StateVector(np.array([1.0, 0.0]), "mass")
-        with pytest.raises(ValueError, match="unknown basis"):
-            basis_convert(v, "flavour")
-        with pytest.raises(ValueError, match="unknown basis"):
-            StateVector(np.array([1.0, 0.0]), "flavour")
+        cp = cp_basis_data(0.0)
+        assert np.allclose(k1_state(), ks_state(cp), atol=1e-14)
+        c = np.linalg.solve(mass_to_strangeness_matrix(cp), k1_state())
+        assert np.allclose(c, [1.0, 0.0], atol=1e-14)

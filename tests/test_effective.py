@@ -12,9 +12,10 @@ from mesonq import (
     effective_operator, effective_operator_cp, expectation, hermitian_eigen,
     joint_probabilities, kaon_defaults, singlet_state, spectral,
 )
-from mesonq.core import PAULI_X
+from mesonq.core import PAULI_X, PAULI_Z
 from mesonq.effective import (
     ObservableMatrix, _mass_frame, _propagate, effective_operator_cp_exact,
+    eigenpair_from_matrix,
 )
 from mesonq.evolution import (
     _surviving_pair, evolve_single_closed, quasispin_projector4,
@@ -113,7 +114,7 @@ class TestEffectiveOperator:
         for _ in range(10):
             q = Quasispin(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             o = effective_operator(q, 0.0, kaon)
-            vals = hermitian_eigen(o.matrix).eigenvalues
+            vals = hermitian_eigen(o.matrix)[0]
             assert np.allclose(vals, [1.0, -1.0], atol=1e-12)
 
     def test_trace_identity(self, kaon):
@@ -138,6 +139,20 @@ class TestEffectiveOperator:
             for t in (math.nan, math.inf):
                 with pytest.raises(ValueError, match="t must be finite"):
                     build(KS_DIRECTION, t, kaon)
+
+
+class TestEigenpairFromMatrix:
+    def test_near_degenerate_pair_matches(self):
+        # gaps below 1e-12 are flagged degenerate, but each eigenvector still
+        # belongs to its own eigenvalue
+        for eps in (4.87e-13, 1e-13):
+            m = eps * PAULI_Z
+            pair = eigenpair_from_matrix(m)
+            assert pair.degenerate
+            assert pair.lambda1 > pair.lambda2
+            assert abs(pair.chi1[0]) == pytest.approx(1.0, abs=1e-15)
+            for lam, chi in ((pair.lambda1, pair.chi1), (pair.lambda2, pair.chi2)):
+                assert np.linalg.norm(m @ chi - lam * chi) <= 1e-3 * eps
 
 
 class TestSpectral:
@@ -169,10 +184,10 @@ class TestSpectral:
             q = Quasispin(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             o = effective_operator(q, rng.uniform(0, 4), kaon)
             pair = spectral(o)
-            dec = hermitian_eigen(o.matrix)
-            assert pair.lambda1 == pytest.approx(dec.eigenvalues[0], abs=1e-12)
-            assert dec.eigenvalues[1] == pytest.approx(-1.0, abs=1e-12)
-            assert abs(abs(np.vdot(pair.chi1, dec.eigenvectors[:, 0])) - 1.0) < 1e-10
+            vals, vecs = hermitian_eigen(o.matrix)
+            assert pair.lambda1 == pytest.approx(vals[0], abs=1e-12)
+            assert vals[1] == pytest.approx(-1.0, abs=1e-12)
+            assert abs(abs(np.vdot(pair.chi1, vecs[:, 0])) - 1.0) < 1e-10
 
     def test_chi1_is_damped_quasispin(self, kaon):
         # independent reconstruction: amplitudes damped by e^{-G_i t/2}, the
@@ -266,7 +281,7 @@ class TestCpOperator:
         for _ in range(10):
             q = Quasispin(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             o = effective_operator_cp(q, rng.uniform(0, 4), kaon)
-            vals = hermitian_eigen(o.matrix).eigenvalues
+            vals = hermitian_eigen(o.matrix)[0]
             assert vals[1] == pytest.approx(-1.0, abs=1e-12)
 
     def test_strangeness_question_first_component(self, kaon):
@@ -454,7 +469,7 @@ class TestLongTimes:
             assert np.isfinite(chi).all()
             assert np.linalg.norm(chi) == pytest.approx(1.0, abs=1e-12)
         assert abs(np.vdot(pair.chi1, pair.chi2)) <= 1e-12
-        assert hermitian_eigen(o.matrix).eigenvalues[1] == pytest.approx(
+        assert hermitian_eigen(o.matrix)[0][1] == pytest.approx(
             -1.0, abs=1e-12)
 
     @given(preset=st.sampled_from(sorted(PRESETS)), alpha_n=ALPHA, phi_n=PHI,

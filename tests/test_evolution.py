@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from mesonq import (
-    K0BAR_DIRECTION, Quasispin, StateVector,
-    basis_convert, bipartite_expectation, effective_operator,
-    evolve_bipartite, evolve_single_closed, joint_probabilities,
-    lindblad_integrate, singlet_state,
+    K0BAR_DIRECTION, Quasispin, bipartite_expectation, cp_basis_data,
+    effective_operator, evolve_bipartite, evolve_single_closed,
+    joint_probabilities, lindblad_integrate, singlet_state,
 )
+from mesonq.core import mass_to_strangeness_matrix
 from mesonq.evolution import (
     DensityMatrix, embed_surviving, pure_density, singlet_vector,
 )
@@ -290,9 +290,11 @@ class TestSinglet:
 
     def test_antisymmetric_in_mass_basis(self):
         # rotating both factors to the mass basis leaves the antisymmetric
-        # combination invariant up to a global phase
-        v = StateVector(singlet_vector(), "strangeness")
-        w = basis_convert(v, "mass").components
+        # combination invariant up to a global phase; decay slots stay put
+        to_mass = np.eye(4, dtype=complex)
+        m = mass_to_strangeness_matrix(cp_basis_data(0.0))
+        to_mass[:2, :2] = np.linalg.inv(m)
+        w = np.kron(to_mass, to_mass) @ singlet_vector()
         want = np.zeros(16, dtype=complex)
         want[1 * 4 + 0] = -1.0 / math.sqrt(2.0)  # |K_L K_S>
         want[0 * 4 + 1] = 1.0 / math.sqrt(2.0)   # |K_S K_L>

@@ -432,9 +432,8 @@ def eigh_pair(o):
 
     It has the eigenvectors of o.matrix, whose entries hold the identity
     part -n0 only to 1e-16 absolute: eigh on o.matrix would lose digits of
-    the direction where |n| is small, and below a gap of 1e-12 hermitian_eigen
-    reorders a pair it takes as degenerate.  Below |n| = 1e-14 it is the
-    standard basis, as for spectral.
+    the direction where |n| is small.  Below |n| = 1e-14 it is the standard
+    basis, as for spectral.
     """
     length = np.linalg.norm(o.bloch)
     n = o.bloch / length if length >= 1e-14 else (0.0, 0.0, 1.0)
