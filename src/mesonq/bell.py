@@ -24,7 +24,7 @@ from .core import (
     k1_state, kl_state, ks_state, _entries, _require_hermitian,
 )
 from .effective import (
-    ObservableMatrix, cp_weights, effective_operator, effective_operator_cp,
+    ObservableMatrix, effective_operator, effective_operator_cp, _amplitudes,
     _checked_bloch, _pair_expectation, _propagate, _rank_one,
 )
 from .evolution import _surviving_pair, singlet_state
@@ -42,6 +42,7 @@ CLASSICAL_BOUND = 2.0
 TSIRELSON_BOUND = 2.0 * math.sqrt(2.0)
 
 _SUMMAND_GAP_TOL = 1e-12
+_VIOLATION_TOL = 1e-9
 _TIME_NAMES = ("t_n", "t_m", "t_np", "t_mp")
 
 # detection-time assignments (t_n, t_m, t_n', t_m') as functions of the scan time
@@ -141,12 +142,8 @@ def _bell_rows(times, quasispins: tuple[Quasispin, ...], params: MesonParams,
     extremal eigenvalues; the summand bound comes from checked Bloch vectors.
     """
     times = _detection_times(times)
-    if cp_mode:
-        amps = [cp_weights(q, params)[:2] for q in quasispins]
-    else:
-        amps = [q.state_mass() for q in quasispins]
-    w = np.array([_propagate(a, t, params)
-                  for a, t in zip(amps, times.T, strict=True)])
+    w = np.array([_propagate(_amplitudes(q, params, cp_mode), t, params)
+                  for q, t in zip(quasispins, times.T, strict=True)])
     o = _rank_one(w)
     bell = _witness(*o)
     _require_hermitian(bell)
@@ -215,7 +212,7 @@ class CpBellReport:
     lambda_max_kl: float
 
 
-def cp_bell_test(delta: float, tol: float = 1e-9) -> CpBellReport:
+def cp_bell_test(delta: float) -> CpBellReport:
     """CHSH test at t = 0 with exact p,q states in the strangeness basis.
 
     The witness eigenvalues alone cannot separate the two variants (both
@@ -241,8 +238,8 @@ def cp_bell_test(delta: float, tol: float = 1e-9) -> CpBellReport:
     s_ks, lam_ks = run(ks_state(cp))
     s_kl, lam_kl = run(kl_state(cp))
     return CpBellReport(
-        variant_ks_violates=s_ks > CLASSICAL_BOUND + tol,
-        variant_kl_violates=s_kl > CLASSICAL_BOUND + tol,
+        variant_ks_violates=s_ks > CLASSICAL_BOUND + _VIOLATION_TOL,
+        variant_kl_violates=s_kl > CLASSICAL_BOUND + _VIOLATION_TOL,
         margin_ks=s_ks - CLASSICAL_BOUND, margin_kl=s_kl - CLASSICAL_BOUND,
         s_ks=s_ks, s_kl=s_kl, lambda_max_ks=lam_ks, lambda_max_kl=lam_kl)
 

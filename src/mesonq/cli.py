@@ -27,9 +27,8 @@ from .core import (
     bmeson_defaults, kaon_defaults, stable_defaults,
 )
 from .effective import (
-    bipartite_expectation, cp_weights, effective_operator,
-    effective_operator_cp, eigenpair_from_matrix, _checked_bloch, _propagate,
-    _rank_one,
+    bipartite_expectation, effective_operator, effective_operator_cp,
+    eigenpair_from_matrix, _amplitudes, _checked_bloch, _propagate, _rank_one,
 )
 from .evolution import (
     embed_surviving, evolve_bipartite, evolve_single_closed,
@@ -184,12 +183,10 @@ def cmd_uncertainty(args) -> int:
         return _uncertainty_bipartite_fig(args, fig, out)
     if fig is not None:
         params = stable_defaults() if fig == "1b" else kaon_defaults()
-        if fig in ("1a", "1b"):
-            fixed = scanned = Quasispin(0.5 * math.pi, 0.0).state_mass()
-            grid = _grid(args, params, (0.0, 2.0 * math.pi, 201))
-        else:
-            fixed, scanned = (cp_weights(q, params)[:2] for q in _CP_QUESTIONS[fig])
-            grid = _grid(args, params, (0.0, 8.0, 401))
+        cp = fig not in ("1a", "1b")
+        questions = _CP_QUESTIONS[fig] if cp else (Quasispin(0.5 * math.pi, 0.0),) * 2
+        grid = _grid(args, params, (0.0, 8.0, 401) if cp else (0.0, 2.0 * math.pi, 201))
+        fixed, scanned = (_amplitudes(q, params, cp) for q in questions)
         if fig in ("2a", "2b") and params.delta != 0.0:
             # include the exact complementary-time row, where the bound peaks
             grid = np.array(sorted(set(grid) | {complementary_time(params)}))
@@ -286,8 +283,6 @@ def cmd_bell(args) -> int:
 
     fig = getattr(args, "fig", None)
     if fig is not None:
-        if fig not in _POLICY_FOR_FIG:
-            raise SystemExit(f"--fig {fig} is not a bell figure")
         policy = _POLICY_FOR_FIG[fig]
         if fig == "5a":
             gl = kaon_defaults().gamma_l
@@ -439,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bell", help="witness eigenvalue scans and CP test")
     add_common(p)
-    p.add_argument("--fig", choices=[f for f in FIG_CHOICES if f[0] in "45"])
+    p.add_argument("--fig", choices=list(_POLICY_FOR_FIG))
     p.add_argument("--policy", choices=("all-equal", "alternating-1",
                                         "alternating-2"), default="alternating-1")
     p.add_argument("--quasispins",

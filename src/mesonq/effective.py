@@ -19,7 +19,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,22 +43,22 @@ _RESIDUAL_TOL = 1e-10
 _PAULI_STACK = np.array(PAULI)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ObservableMatrix:
     """Effective observable -n0*1 + bloch.sigma = 2|w><w| - 1, w = amplitudes."""
 
     matrix: np.ndarray
     n0: float
     bloch: np.ndarray
+    amplitudes: np.ndarray
     quasispin: Quasispin
     time: float
     params: MesonParams
-    cp_corrected: bool = False
-    basis: str = "mass"
-    amplitudes: np.ndarray | None = field(default=None, compare=False, repr=False)
+    cp_corrected: bool
+    basis: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EigenPair:
     """Spectral data of an effective observable: lambda2 = -1 always."""
 
@@ -158,12 +158,25 @@ def bloch_vector(q: Quasispin, t: float, params: MesonParams) -> tuple[float, np
     return _bloch(_propagate(q.state_mass(), t, params))
 
 
+def _amplitudes(q: Quasispin, params: MesonParams, cp_corrected: bool):
+    """Amplitudes of q over (K_S, K_L): mass basis, or the CP overlaps <K_i|k>."""
+    return cp_weights(q, params)[:2] if cp_corrected else q.state_mass()
+
+
+def _observable(q: Quasispin, t: float, params: MesonParams,
+                cp_corrected: bool) -> ObservableMatrix:
+    """2|w><w| - 1 of the amplitudes of q propagated to t, with its Bloch data."""
+    w = _propagate(_amplitudes(q, params, cp_corrected), t, params)
+    n0, n = _bloch(w)
+    return ObservableMatrix(matrix=_rank_one(w), n0=n0, bloch=n, amplitudes=w,
+                            quasispin=q, time=t, params=params,
+                            cp_corrected=cp_corrected,
+                            basis="cp" if cp_corrected else "mass")
+
+
 def effective_operator(q: Quasispin, t: float, params: MesonParams) -> ObservableMatrix:
     """Effective yes/no observable in the mass basis (CP asymmetry neglected)."""
-    w = _propagate(q.state_mass(), t, params)
-    n0, n = _bloch(w)
-    return ObservableMatrix(matrix=_rank_one(w), n0=n0, bloch=n,
-                            quasispin=q, time=t, params=params, amplitudes=w)
+    return _observable(q, t, params, cp_corrected=False)
 
 
 def spectral(o: ObservableMatrix) -> EigenPair:
@@ -171,16 +184,9 @@ def spectral(o: ObservableMatrix) -> EigenPair:
 
     chi1 is the forward-propagated quasispin w/|w|; chi2 its orthogonal
     complement, which the paper reads as the backward-in-time partner
-    chi(alpha+pi, phi+2t, -t).  Both are read off the amplitudes w of o; for
-    an operator built by hand, w is propagated and checked against o.matrix.
+    chi(alpha+pi, phi+2t, -t).  Both are read off the amplitudes w of o.
     """
-    w = o.amplitudes
-    if w is None:
-        amps = (cp_weights(o.quasispin, o.params)[:2] if o.cp_corrected
-                else o.quasispin.state_mass())
-        w = _propagate(amps, o.time, o.params)
-        _checked_bloch(w, o.matrix)
-    return _pair(w, o.basis)
+    return _pair(o.amplitudes, o.basis)
 
 
 @functools.lru_cache(maxsize=8)
@@ -235,12 +241,7 @@ def effective_operator_cp(q: Quasispin, t: float, params: MesonParams) -> Observ
 
     and the expansion is exact: no higher order of delta appears.
     """
-    amp_s, amp_l, _ = cp_weights(q, params)
-    w = _propagate((amp_s, amp_l), t, params)
-    n0, n = _bloch(w)
-    return ObservableMatrix(matrix=_rank_one(w), n0=n0, bloch=n,
-                            quasispin=q, time=t, params=params,
-                            cp_corrected=True, basis="cp", amplitudes=w)
+    return _observable(q, t, params, cp_corrected=True)
 
 
 def effective_operator_cp_exact(q: Quasispin, t: float,
@@ -271,8 +272,7 @@ def cp_eigenvectors(q: Quasispin, t: float, params: MesonParams,
     amplitudes with inverted decay factors.  Both have unit length and are
     exactly orthogonal for every delta and t >= 0; lambda1 = 2|w|^2 - 1.
     """
-    amp_s, amp_l, _ = cp_weights(q, params, q_basis)
-    return _pair(_propagate((amp_s, amp_l), t, params), "cp")
+    return _pair(_propagate(cp_weights(q, params, q_basis)[:2], t, params), "cp")
 
 
 def eigenpair_from_matrix(m: np.ndarray, basis: str = "mass") -> EigenPair:

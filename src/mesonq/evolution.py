@@ -35,7 +35,7 @@ _MASK4[2, 2] = _MASK4[3, 3] = 1.0
 _MASK16 = np.kron(_MASK4, _MASK4)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian PSD state on 2, 4 or 16 dimensions."""
 

@@ -31,6 +31,7 @@ __all__ = [
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 _TIE_TOL = 1e-12
+_BISECT_TOL = 1e-10
 _Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
@@ -164,7 +165,7 @@ def cp_overlap_ks(t_n: float, params: MesonParams) -> float:
     return num / (math.sqrt(1.0 + d * d) * math.hypot(u, v))
 
 
-def _bisect(f, lo: float, hi: float, tol: float = 1e-10) -> float:
+def _bisect(f, lo: float, hi: float) -> float:
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0:
         return lo
@@ -172,7 +173,7 @@ def _bisect(f, lo: float, hi: float, tol: float = 1e-10) -> float:
         return hi
     if f_lo * f_hi > 0.0:
         raise ValueError("root not bracketed")
-    while hi - lo > tol:
+    while hi - lo > _BISECT_TOL:
         mid = 0.5 * (lo + hi)
         f_mid = f(mid)
         if f_mid == 0.0:
@@ -230,17 +231,23 @@ def misid_time(params: MesonParams) -> float:
 
 
 def delta_for_equal_times(params: MesonParams) -> float:
-    """CP asymmetry that would pull the complementary time down to misid_time."""
-    target = misid_time(params)
+    """CP asymmetry that would pull the complementary time down to misid_time.
 
-    def f(d):
-        return complementary_time(replace(params, delta=d)) - target
-
-    lo = max(abs(params.delta), 1e-6)
-    hi = 0.5
-    if f(lo) < 0.0 or f(hi) > 0.0:
-        raise ValueError("no crossing in (delta, 0.5)")
-    return _bisect(f, lo, hi, tol=1e-10)
+    At t = misid_time, cp_overlap_ks(t) = 1/sqrt(2) is the quadratic
+    E^2 d^4 - B d^2 + 1 = 0 with E = e^{-dGamma t} and B = 1 + E^2 - 4E cos t,
+    so delta* depends on the widths alone.  It is the smaller root,
+    d^2 = 2/(B + sqrt(B^2 - 4E^2)), and it counts only where t is the first
+    crossing: the complementary time at delta* must be t to within 1e-9.
+    """
+    t = misid_time(params)
+    e = math.exp(-params.delta_gamma * t)
+    b = 1.0 + e * e - 4.0 * e * math.cos(t)
+    if b >= 2.0 * e:
+        d_star = math.sqrt(2.0 / (b + math.sqrt(b * b - 4.0 * e * e)))
+        if abs(params.delta) < d_star < 0.5 and abs(
+                complementary_time(replace(params, delta=d_star)) - t) <= 1e-9:
+            return d_star
+    raise ValueError("no crossing in (delta, 0.5)")
 
 
 def bipartite_mu_bound(pair_a1: EigenPair, pair_a2: EigenPair,

@@ -96,7 +96,7 @@ def test_criterion_06_singlet_never_violates():
 def test_criterion_07_cp_bell_dichotomy():
     plus = cp_bell_test(KAON.delta)
     minus = cp_bell_test(-KAON.delta)
-    zero = cp_bell_test(0.0, tol=1e-9)
+    zero = cp_bell_test(0.0)
     one_each = (plus.variant_ks_violates != plus.variant_kl_violates
                 and minus.variant_ks_violates != minus.variant_kl_violates)
     flips = plus.variant_ks_violates == minus.variant_kl_violates

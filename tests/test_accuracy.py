@@ -1,8 +1,9 @@
-"""50-digit references for the printed entropic bounds.
+"""50-digit references for the printed entropic bounds and for delta*.
 
 mpmath evaluates, at 50 digits throughout, each bound exactly at the float amplitudes w that the
 program propagates, so a deviation measures the error of the bound alone,
-not that of the inputs.  mpmath is a test dependency only.
+not that of the inputs; delta* likewise at the float misid_time.  mpmath
+is a test dependency only.
 """
 
 import math
@@ -14,7 +15,8 @@ import pytest
 
 from mesonq import (
     KS_DIRECTION, Quasispin, bmeson_defaults, complementary_time, cp_weights,
-    kaon_defaults, scan_bell, stable_defaults,
+    delta_for_equal_times, kaon_defaults, misid_time, scan_bell,
+    stable_defaults,
 )
 from mesonq.bell import TIME_POLICIES
 from mesonq.effective import _propagate
@@ -133,3 +135,21 @@ def test_summand_bound_against_50_digits(cp_mode):
         b_plus = [x + y for x, y in zip(n_m, n_mp)]
         exact = exact_bound(n_n, n_np)[0] + exact_bound(b_minus, b_plus)[0]
         assert abs(row.summand_mu_bound - exact) <= 1e-14
+
+
+def test_delta_star_against_50_digits():
+    # root in d of cp_overlap_ks = 1/sqrt(2) at the float misid_time, between
+    # the overlap's value near one at small d and its dip below 1/sqrt(2)
+    params = kaon_defaults()
+    t = mpmath.mpf(misid_time(params))
+    u = mpmath.exp(-params.gamma_s * t / 2)
+    v = mpmath.exp(-params.gamma_l * t / 2) * mpmath.exp(-1j * t)
+
+    def excess(d):
+        num = abs(u + d * d * v)
+        return num / mpmath.sqrt((1 + d * d) * (u * u + d * d * abs(v) ** 2)) \
+            - 1 / mpmath.sqrt(2)
+
+    exact = mpmath.findroot(excess, (0.01, 0.5), solver="illinois")
+    d_star = delta_for_equal_times(params)
+    assert abs(d_star - exact) <= 4 * math.ulp(d_star)

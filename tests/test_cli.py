@@ -122,6 +122,10 @@ class TestBellCommand:
             assert abs(float(row["lambda_max"])) <= 2 * math.sqrt(2) + 1e-9
             assert abs(float(row["lambda_min"])) <= 2 * math.sqrt(2) + 1e-9
 
+    def test_fig_outside_bell_presets_rejected(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["bell", "--fig", "1a"])
+
     def test_cp_test_reports_single_violation(self, capsys):
         code, out = run(capsys, "bell", "--cp-test", "--delta", "3.322e-3")
         assert code == 0

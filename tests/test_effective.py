@@ -133,6 +133,13 @@ class TestEffectiveOperator:
         with pytest.raises(ValueError):
             effective_operator(KS_DIRECTION, -0.1, kaon)
 
+    def test_equality_is_identity(self, kaon):
+        # a generated __eq__ over the numpy fields would raise ValueError
+        a, b = (effective_operator(Quasispin(1.0, 0.3), 1.2, kaon) for _ in range(2))
+        assert isinstance(a, ObservableMatrix)
+        assert a == a
+        assert (a == b) is False
+
     def test_non_finite_time_rejected(self, kaon):
         for build in (effective_operator, effective_operator_cp,
                       effective_operator_cp_exact):
@@ -203,14 +210,18 @@ class TestSpectral:
 
     def test_degenerate_flag(self, kaon):
         # K_S has decayed below the float range by t = 2000: O = -1
-        o = ObservableMatrix(matrix=-np.eye(2, dtype=complex), n0=1.0,
-                             bloch=np.zeros(3), quasispin=KS_DIRECTION,
-                             time=2000.0, params=kaon)
-        assert np.array_equal(effective_operator(KS_DIRECTION, 2000.0, kaon).matrix,
-                              o.matrix)
+        o = effective_operator(KS_DIRECTION, 2000.0, kaon)
+        assert np.array_equal(o.matrix, -np.eye(2))
         pair = spectral(o)
         assert pair.degenerate
         assert abs(np.vdot(pair.chi1, pair.chi2)) < 1e-12
+
+    def test_equality_is_identity(self, kaon):
+        # a generated __eq__ over the numpy fields would raise ValueError
+        o = effective_operator(Quasispin(1.0, 0.3), 1.2, kaon)
+        a, b = spectral(o), spectral(o)
+        assert a == a
+        assert (a == b) is False
 
     def test_long_time_repro_cases(self, kaon):
         # times at which the inverted decay factors e^{+Gamma_i t/2} of the

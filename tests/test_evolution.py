@@ -372,6 +372,12 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(3))
 
+    def test_equality_is_identity(self):
+        # a generated __eq__ over the numpy entries would raise ValueError
+        a, b = DensityMatrix(np.eye(2) / 2), DensityMatrix(np.eye(2) / 2)
+        assert a == a
+        assert (a == b) is False
+
     def test_pure_density(self, rng):
         v = random_pure_state(rng, 4)
         rho = pure_density(v)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -292,6 +293,18 @@ class TestDeltaForEqualTimes:
         d_star = delta_for_equal_times(kaon)
         estimate = math.exp(-misid_time(kaon) * (kaon.gamma_s - kaon.gamma_l) / 2.0)
         assert abs(estimate - d_star) / d_star < 0.15
+
+    def test_independent_of_preset_delta(self, kaon):
+        # delta* is a root of the overlap at misid_time, which the widths fix
+        d_star = delta_for_equal_times(kaon)
+        for delta in (1e-4, 3.322e-3, 0.01, -0.01):
+            assert delta_for_equal_times(replace(kaon, delta=delta)) == d_star
+
+    @pytest.mark.parametrize("params", [MesonParams(1.0, 0.5, 0.003),
+                                        MesonParams(2.0, 1.0, 0.003)])
+    def test_no_crossing(self, params):
+        with pytest.raises(ValueError, match="no crossing"):
+            delta_for_equal_times(params)
 
 
 class TestBipartiteMuBound:
