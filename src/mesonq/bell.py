@@ -14,7 +14,9 @@ single setting is the one-row case.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -279,15 +281,40 @@ def scan_bell(policy: str, t_grid, params: MesonParams,
     return [ScanRow(*row) for row in zip(*(c.tolist() for c in columns))]
 
 
+@functools.lru_cache(maxsize=1)
+def _haar_draw(n_states: int, seed: int) -> np.ndarray:
+    """n_states normalized complex Gaussian 4-vectors from seed, read-only.
+
+    The draw depends on (n_states, seed) alone, so witnesses sampled with one
+    seed share it.
+    """
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n_states, 4)) + 1j * rng.standard_normal((n_states, 4))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    z.setflags(write=False)
+    return z
+
+
+def _index(name: str, value) -> int:
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 def sample_witness_max(bell: np.ndarray, n_states: int = 10_000,
                        seed: int = DEFAULT_SEED,
                        refine_steps: int = 0) -> float:
     """Largest Tr(Bell |psi><psi|) over Haar-like random pure 4-dim states.
 
-    Optional refinement runs power iteration (matrix-vector products only)
-    from the best sample, converging on the top eigenvalue without calling
-    an eigensolver, so the check stays independent of the eigenvalue routes
-    it tests.  bell must be a finite Hermitian 4x4 matrix and n_states >= 1.
+    Optional refinement runs refine_steps steps of power iteration on
+    Bell + 5 from the best sample, converging on the top eigenvalue without
+    calling an eigensolver, so the check stays independent of the eigenvalue
+    routes it tests.  The steps are applied at once as (Bell + 5)^refine_steps,
+    by repeated squaring of the 4x4 matrix with rescaling.  bell must be a
+    finite Hermitian 4x4 matrix; n_states >= 1, refine_steps >= 0 and seed are
+    integers.  The normalized draw of the last (n_states, seed) is kept, so
+    witnesses sampled with one seed share it.
     """
     bell = np.asarray(bell, dtype=complex)
     if bell.shape != (4, 4):
@@ -295,19 +322,28 @@ def sample_witness_max(bell: np.ndarray, n_states: int = 10_000,
     if not np.isfinite(bell).all():
         raise ValueError("witness entries must be finite")
     _require_hermitian(bell)
+    n_states = _index("n_states", n_states)
+    refine_steps = _index("refine_steps", refine_steps)
+    seed = _index("seed", seed)
     if n_states < 1:
         raise ValueError(f"n_states must be at least 1, got {n_states}")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_states, 4)) + 1j * rng.standard_normal((n_states, 4))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
-    values = np.einsum("ni,ij,nj->n", z.conj(), bell, z).real
+    if refine_steps < 0:
+        raise ValueError(f"refine_steps must be nonnegative, got {refine_steps}")
+    z = _haar_draw(n_states, seed)
+    values = ((z.conj() @ bell) * z).sum(-1).real
     best = int(np.argmax(values))
-    if refine_steps <= 0:
+    if refine_steps == 0:
         return float(values[best])
-    # shift makes the target eigenvalue the dominant one (|eigs| <= 4)
-    shifted = bell + 5.0 * np.eye(4)
-    psi = z[best]
-    for _ in range(refine_steps):
-        psi = shifted @ psi
-        psi /= np.linalg.norm(psi)
+    # shift makes the target eigenvalue the dominant one (|eigs| <= 4); each
+    # product is divided by its largest entry, so no power overflows
+    shifted, power = bell + 5.0 * np.eye(4), np.eye(4)
+    while refine_steps:
+        if refine_steps & 1:
+            power = power @ shifted
+            power /= np.abs(power).max()
+        refine_steps >>= 1
+        shifted = shifted @ shifted
+        shifted /= np.abs(shifted).max()
+    psi = power @ z[best]
+    psi /= np.linalg.norm(psi)
     return float(np.vdot(psi, bell @ psi).real)

@@ -208,6 +208,23 @@ def _rk4_propagator(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _apply_steps(prop: np.ndarray, v: np.ndarray, steps: int) -> np.ndarray:
+    """prop^steps @ v, by binary powering or step by step, whichever is cheaper.
+
+    Costs are in multiply-adds of a complex matrix product (~0.2 ns with one
+    BLAS thread; a product call adds ~5 us, a matrix-vector step ~1.8 us).
+    Single states power from ~20 steps on, pair states from ~200 (64-entry
+    block) or ~2,000 steps (the 256 entries of a full 16-dim state).
+    """
+    d = v.size
+    products = steps.bit_length() + steps.bit_count() - 2
+    if products * (d**3 + 25_000) < steps * (2 * d**2 + 9_000):
+        return np.linalg.matrix_power(prop, steps) @ v
+    for _ in range(steps):
+        v = prop @ v
+    return v
+
+
 def lindblad_integrate(rho, t: float, params: MesonParams, dt: float = 1e-3,
                        summed_generator: bool = False) -> DensityMatrix:
     """Fixed-step RK4 integration of drho/dt = -i[H, rho] - D[rho].
@@ -221,10 +238,12 @@ def lindblad_integrate(rho, t: float, params: MesonParams, dt: float = 1e-3,
     The equation is linear, so one RK4 step with step size t / ceil(t / dt) is
     the fixed matrix P = 1 + x + x^2/2 + x^3/6 + x^4/24, x = step * L, acting
     on vec(rho).  P is built only on the entries reachable from the support of
-    rho and applied once per step.  The step-doubling error estimate (P(step)
-    against two half steps) and the trace drift must stay within 1e-6.
-    Unmeasurable final coherences are zeroed on output, matching the closed
-    form.
+    rho and applied as P^n, n the step count: by binary powering where that
+    is cheaper than n steps (single states from ~20 steps on), else step by
+    step.
+    The step-doubling error estimate (P(step) against two half steps) and the
+    trace drift must stay within 1e-6.  Unmeasurable final coherences are
+    zeroed on output, matching the closed form.
     """
     _require_finite(t=t, dt=dt)
     if dt <= 0.0:
@@ -251,11 +270,8 @@ def lindblad_integrate(rho, t: float, params: MesonParams, dt: float = 1e-3,
         err = np.abs(prop @ v0 - half @ (half @ v0)).max(initial=0.0) * steps
         if not err <= _STEP_ERROR_LIMIT:
             raise ValueError("integration error above 1e-6: reduce dt")
-    v = v0
-    for _ in range(steps):
-        v = prop @ v
     r = np.zeros(dim * dim, dtype=complex)
-    r[reach] = v
+    r[reach] = _apply_steps(prop, v0, steps)
     r = r.reshape(dim, dim)
     if not abs(np.trace(r).real - np.trace(m).real) <= _STEP_ERROR_LIMIT:
         raise ValueError("trace drift above 1e-6: reduce dt")

@@ -31,6 +31,29 @@ def strangeness_setting(t_n, t_m, t_np, t_mp):
     return BellSetting(k, t_n, k, t_m, k, t_np, k, t_mp)
 
 
+def verify_witnesses(params):
+    """The two witnesses `mesonq verify` samples."""
+    return [bell_operator(s, params)
+            for s in (planar_setting(), strangeness_setting(0.0, 1.0, 1.0, 0.0))]
+
+
+def fresh_draw(n_states, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n_states, 4)) + 1j * rng.standard_normal((n_states, 4))
+    return z / np.linalg.norm(z, axis=1, keepdims=True)
+
+
+def literal_refinement(bell, n_states, seed, refine_steps):
+    """Best sample of a fresh draw, then one normalized power step at a time."""
+    z = fresh_draw(n_states, seed)
+    psi = z[np.argmax(np.einsum("ni,ij,nj->n", z.conj(), bell, z).real)]
+    shifted = bell + 5.0 * np.eye(4)
+    for _ in range(refine_steps):
+        psi = shifted @ psi
+        psi /= np.linalg.norm(psi)
+    return float(np.vdot(psi, bell @ psi).real)
+
+
 def singlet4():
     rho = singlet_state().entries.reshape(4, 4, 4, 4)
     return rho[:2, :2, :2, :2].reshape(4, 4)
@@ -118,6 +141,64 @@ class TestSampleWitnessMax:
         b = bell_operator(planar_setting(), kaon)
         with pytest.raises(ValueError, match="n_states must be at least 1"):
             sample_witness_max(b, 0)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"n_states": 100.0}, "n_states must be an integer"),
+        ({"refine_steps": 3.0}, "refine_steps must be an integer"),
+        ({"refine_steps": -1}, "refine_steps must be nonnegative"),
+        ({"seed": None}, "seed must be an integer"),
+        ({"seed": np.random.default_rng(7)}, "seed must be an integer"),
+        ({"seed": 7.0}, "seed must be an integer"),
+    ], ids=["float_n_states", "float_refine_steps", "negative_refine_steps",
+            "none_seed", "generator_seed", "float_seed"])
+    def test_bad_argument_rejected(self, kaon, kwargs, match):
+        b = bell_operator(planar_setting(), kaon)
+        args = {"n_states": 100, "seed": 7, "refine_steps": 3} | kwargs
+        sample_witness_max(b, 100, seed=7)  # a cached draw must not be replayed
+        with pytest.raises(ValueError, match=match):
+            sample_witness_max(b, **args)
+
+    @pytest.mark.parametrize("refine_steps", [1, 2, 3, 300, 301])
+    def test_refinement_matches_literal_loop(self, kaon, refine_steps):
+        rng = np.random.default_rng(refine_steps)
+        witnesses = verify_witnesses(kaon)
+        for _ in range(4):
+            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            h = a + a.conj().T
+            witnesses.append(4.0 * h / np.linalg.norm(h))
+        for seed, b in enumerate(witnesses):
+            got = sample_witness_max(b, 10_000, seed=seed, refine_steps=refine_steps)
+            want = literal_refinement(b, 10_000, seed, refine_steps)
+            assert abs(got - want) <= 1e-12
+
+    def test_long_refinement_stays_finite(self, kaon):
+        # (Bell + 5)^5000 has entries near 9^5000: the powers are rescaled
+        for b in verify_witnesses(kaon):
+            got = sample_witness_max(b, 10_000, refine_steps=5000)
+            assert math.isfinite(got)
+            assert abs(got - np.linalg.eigvalsh(b)[-1]) <= 1e-8
+
+
+class TestHaarDrawCache:
+    def test_draw_is_read_only(self):
+        z = mesonq.bell._haar_draw(100, 7)
+        with pytest.raises(ValueError):
+            z[0, 0] = 0.0
+
+    def test_same_key_same_object(self):
+        z = mesonq.bell._haar_draw(100, 7)
+        assert mesonq.bell._haar_draw(100, 7) is z
+        assert not np.array_equal(mesonq.bell._haar_draw(100, 8), z)
+
+    def test_unrefined_value_matches_fresh_draw(self, kaon):
+        for b in verify_witnesses(kaon):
+            z = fresh_draw(10_000, 11)
+            want = np.einsum("ni,ij,nj->n", z.conj(), b, z).real
+            cached = mesonq.bell._haar_draw(10_000, 11)
+            got = ((cached.conj() @ b) * cached).sum(-1).real
+            assert np.abs(got - want).max() <= 2e-15
+            assert np.argmax(got) == np.argmax(want)
+            assert abs(sample_witness_max(b, 10_000, seed=11) - want.max()) <= 2e-15
 
 
 class TestChshValue:

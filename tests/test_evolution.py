@@ -20,6 +20,13 @@ def surviving_pair_block(rho16):
     return rho16.reshape(4, 4, 4, 4)[:2, :2, :2, :2].reshape(4, 4)
 
 
+def surviving_pair_density(rng):
+    """Random pair state on the surviving x surviving slots only."""
+    rho = np.zeros((16, 16), dtype=complex)
+    rho[np.ix_([0, 1, 4, 5], [0, 1, 4, 5])] = random_density(rng, 4)
+    return rho
+
+
 def rk4_reference(rho, t, params, dt=1e-3, summed_generator=False):
     """Stage-wise fixed-step RK4 of the Lindblad equation, written out literally.
 
@@ -182,6 +189,20 @@ class TestLindbladIntegrator:
             (random_density(rng, 16), 0.05, False),
             (random_density(rng, 16), 0.05, True),
             (np.zeros((4, 4)), 0.1, False),
+            # P^n by binary powering replaces 1,000 to 5,000 steps on the
+            # 16-entry block and 300 on the 16- and 64-entry pair blocks; the
+            # 256-entry block of a full pair state steps at 300, powers at 2,000
+            (random_density(rng, 4), 1.0, False),
+            (random_density(rng, 4), 5.0, False),
+            (singlet_state().entries, 0.3, False),
+            (singlet_state().entries, 0.3, True),
+            (surviving_pair_density(rng), 0.3, False),
+            (surviving_pair_density(rng), 0.3, True),
+            (random_density(rng, 16), 0.3, False),
+            (random_density(rng, 16), 0.3, True),
+            (random_density(rng, 16), 2.0, False),
+            # t = 0: one step of size zero
+            (random_density(rng, 4), 0.0, False),
         ]
         for rho, t, summed in cases:
             want = rk4_reference(rho, t, kaon, summed_generator=summed)
