@@ -23,11 +23,10 @@ import numpy as np
 
 from .core import (
     K0BAR_DIRECTION, MesonParams, Quasispin, cp_basis_data, k0bar_state,
-    k1_state, kl_state, ks_state, _entries, _require_hermitian,
+    k1_state, kl_state, ks_state, _entries, _require_finite, _require_hermitian,
 )
 from .effective import (
-    ObservableMatrix, effective_operator, effective_operator_cp, _amplitudes,
-    _checked_bloch, _pair_expectation, _propagate, _rank_one,
+    _amplitudes, _checked_bloch, _kron, _pair_expectation, _propagate, _rank_one,
 )
 from .evolution import _surviving_pair, singlet_state
 from .uncertainty import _bloch_mu_bound
@@ -70,31 +69,29 @@ class BellSetting:
     cp_mode: bool = False
 
     def __post_init__(self):
-        _detection_times([(self.t_n, self.t_m, self.t_np, self.t_mp)])
+        _detection_times([_questions(self)[0]])
+
+
+def _questions(s: BellSetting) -> tuple[tuple[float, ...], tuple[Quasispin, ...]]:
+    """Detection times and quasispins of a setting, in the order n, m, n', m'."""
+    return (s.t_n, s.t_m, s.t_np, s.t_mp), (s.k_n, s.k_m, s.k_np, s.k_mp)
 
 
 def _detection_times(times) -> np.ndarray:
     """Rows (t_n, t_m, t_n', t_m') as an (n, 4) array, finite and >= 0."""
     times = np.asarray(times, dtype=float)
-    for name, col in zip(_TIME_NAMES, times.T):
-        bad = col[~np.isfinite(col)]
-        if bad.size:
-            raise ValueError(f"{name} must be finite, got {bad[0]}")
+    _require_finite(**dict(zip(_TIME_NAMES, times.T)))
     if (times < 0.0).any():
         raise ValueError("detection times must be nonnegative")
     return times
 
 
-def _observables(s: BellSetting, params: MesonParams) -> tuple[ObservableMatrix, ...]:
-    build = effective_operator_cp if s.cp_mode else effective_operator
-    return (build(s.k_n, s.t_n, params), build(s.k_m, s.t_m, params),
-            build(s.k_np, s.t_np, params), build(s.k_mp, s.t_mp, params))
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of 2x2 matrices on the last two axes, leading axes kept."""
-    k = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return k.reshape(k.shape[:-4] + (4, 4))
+def _observables(times, quasispins: tuple[Quasispin, ...], params: MesonParams,
+                 cp_mode: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked amplitudes w at four times (floats or grid columns), and 2|w><w| - 1."""
+    w = np.array([_propagate(_amplitudes(q, params, cp_mode), t, params)
+                  for q, t in zip(quasispins, times, strict=True)])
+    return w, _rank_one(w)
 
 
 def _witness(o_n: np.ndarray, o_m: np.ndarray, o_np: np.ndarray,
@@ -104,7 +101,7 @@ def _witness(o_n: np.ndarray, o_m: np.ndarray, o_np: np.ndarray,
 
 def bell_operator(s: BellSetting, params: MesonParams) -> np.ndarray:
     """The 4x4 Hermitian witness O_n x (O_m - O_m') + O_n' x (O_m + O_m')."""
-    return _witness(*(o.matrix for o in _observables(s, params)))
+    return _witness(*_observables(*_questions(s), params, s.cp_mode)[1])
 
 
 @dataclass(frozen=True)
@@ -143,10 +140,7 @@ def _bell_rows(times, quasispins: tuple[Quasispin, ...], params: MesonParams,
     the rows, and one eigvalsh call on the (n, 4, 4) witness stack gives the
     extremal eigenvalues; the summand bound comes from checked Bloch vectors.
     """
-    times = _detection_times(times)
-    w = np.array([_propagate(_amplitudes(q, params, cp_mode), t, params)
-                  for q, t in zip(quasispins, times.T, strict=True)])
-    o = _rank_one(w)
+    w, o = _observables(_detection_times(times).T, quasispins, params, cp_mode)
     bell = _witness(*o)
     _require_hermitian(bell)
     vals = np.linalg.eigvalsh(bell)
@@ -159,9 +153,8 @@ def bell_bounds(s: BellSetting, params: MesonParams) -> BellReport:
 
     The one-row case of the batched computation behind scan_bell.
     """
-    lam_min, lam_max, mu = _bell_rows(
-        [(s.t_n, s.t_m, s.t_np, s.t_mp)], (s.k_n, s.k_m, s.k_np, s.k_mp),
-        params, s.cp_mode)
+    times, quasispins = _questions(s)
+    lam_min, lam_max, mu = _bell_rows([times], quasispins, params, s.cp_mode)
     return BellReport(lambda_min=float(lam_min[0]), lambda_max=float(lam_max[0]),
                       summand_mu_bound=float(mu[0]))
 
@@ -178,11 +171,9 @@ class ChshValue:
     witness: float
 
 
-def _chsh(o_n: np.ndarray, o_m: np.ndarray, o_np: np.ndarray,
-          o_mp: np.ndarray, rho4: np.ndarray) -> ChshValue:
-    e_nm, e_nmp, e_npm, e_npmp = (
-        _pair_expectation(a, b, rho4)
-        for a, b in ((o_n, o_m), (o_n, o_mp), (o_np, o_m), (o_np, o_mp)))
+def _chsh(o: np.ndarray, rho4: np.ndarray) -> ChshValue:
+    e_nm, e_nmp, e_npm, e_npmp = _pair_expectation(  # o is (O_n, O_m, O_n', O_m')
+        o[[0, 0, 2, 2]], o[[1, 3, 1, 3]], rho4).tolist()
     return ChshValue(s=abs(e_nm - e_nmp) + abs(e_npm + e_npmp),
                      witness=e_nm - e_nmp + e_npm + e_npmp)
 
@@ -192,7 +183,7 @@ def chsh_value(s: BellSetting, rho0, params: MesonParams) -> ChshValue:
     rho4 = _entries(rho0)
     if rho4.shape != (4, 4):
         raise ValueError("expected a 4x4 two-particle initial state")
-    return _chsh(*(o.matrix for o in _observables(s, params)), rho4)
+    return _chsh(_observables(*_questions(s), params, s.cp_mode)[1], rho4)
 
 
 @dataclass(frozen=True)
@@ -228,14 +219,11 @@ def cp_bell_test(delta: float) -> CpBellReport:
     # (|01> - |10>)/sqrt(2) keeps its form in every basis, strangeness included
     singlet = _surviving_pair(singlet_state())
 
-    o_k0bar = _rank_one(k0bar_state())
-    o_k1 = _rank_one(k1_state())
-
     def run(first_state):
-        ops = (_rank_one(first_state), o_k0bar, o_k1, o_k1)
+        ops = _rank_one(np.array([first_state, k0bar_state(), k1_state(), k1_state()]))
         bell = _witness(*ops)
         _require_hermitian(bell)
-        return _chsh(*ops, singlet).s, float(np.linalg.eigvalsh(bell)[-1])
+        return _chsh(ops, singlet).s, float(np.linalg.eigvalsh(bell)[-1])
 
     s_ks, lam_ks = run(ks_state(cp))
     s_kl, lam_kl = run(kl_state(cp))
@@ -307,20 +295,19 @@ def sample_witness_max(bell: np.ndarray, n_states: int = 10_000,
                        refine_steps: int = 0) -> float:
     """Largest Tr(Bell |psi><psi|) over Haar-like random pure 4-dim states.
 
-    Optional refinement runs refine_steps steps of power iteration on
-    Bell + 5 from the best sample, converging on the top eigenvalue without
-    calling an eigensolver, so the check stays independent of the eigenvalue
-    routes it tests.  The steps are applied at once as (Bell + 5)^refine_steps,
-    by repeated squaring of the 4x4 matrix with rescaling.  bell must be a
-    finite Hermitian 4x4 matrix; n_states >= 1, refine_steps >= 0 and seed are
-    integers.  The normalized draw of the last (n_states, seed) is kept, so
-    witnesses sampled with one seed share it.
+    Optional refinement runs refine_steps steps of power iteration on Bell + s
+    from the best sample, s the largest absolute row sum, which bounds every
+    |eigenvalue|.  It converges on the top eigenvalue without an eigensolver,
+    so the check stays independent of the eigenvalue routes it tests.  The
+    steps are applied at once as (Bell + s)^refine_steps, by repeated squaring
+    of the 4x4 matrix with rescaling.  bell must be a finite Hermitian 4x4
+    matrix; n_states >= 1, refine_steps >= 0 and seed are integers.  The
+    normalized draw of the last (n_states, seed) is kept, so witnesses sampled
+    with one seed share it.
     """
-    bell = np.asarray(bell, dtype=complex)
+    bell = _entries(bell, "witness")
     if bell.shape != (4, 4):
         raise ValueError(f"expected a 4x4 witness, got shape {bell.shape}")
-    if not np.isfinite(bell).all():
-        raise ValueError("witness entries must be finite")
     _require_hermitian(bell)
     n_states = _index("n_states", n_states)
     refine_steps = _index("refine_steps", refine_steps)
@@ -332,11 +319,11 @@ def sample_witness_max(bell: np.ndarray, n_states: int = 10_000,
     z = _haar_draw(n_states, seed)
     values = ((z.conj() @ bell) * z).sum(-1).real
     best = int(np.argmax(values))
-    if refine_steps == 0:
+    shift = np.abs(bell).sum(axis=1).max()
+    if refine_steps == 0 or shift == 0.0:  # a zero witness has nothing to refine
         return float(values[best])
-    # shift makes the target eigenvalue the dominant one (|eigs| <= 4); each
-    # product is divided by its largest entry, so no power overflows
-    shifted, power = bell + 5.0 * np.eye(4), np.eye(4)
+    # each product is divided by its largest entry, so no power overflows
+    shifted, power = bell + shift * np.eye(4), np.eye(4)
     while refine_steps:
         if refine_steps & 1:
             power = power @ shifted

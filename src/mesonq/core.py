@@ -42,17 +42,21 @@ KAON_LIFETIME_RATIO = 0.89e-10 / 5.17e-8
 KAON_DELTA = 3.322e-3
 
 
-def _require_finite(**values: float) -> None:
+def _require_finite(**values) -> None:
+    """Raise a ValueError naming the first non-finite number or array entry."""
     for name, value in values.items():
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+        if isinstance(value, (float, int)):  # math.isfinite is the fast check
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        elif not np.isfinite(value).all():
+            bad = np.asarray(value)[~np.isfinite(value)]
+            raise ValueError(f"{name} must be finite, got {bad[0]}")
 
 
-def _entries(rho) -> np.ndarray:
+def _entries(rho, name: str = "state") -> np.ndarray:
     """Complex entries of a DensityMatrix or array-like state, checked finite."""
     m = np.asarray(getattr(rho, "entries", rho), dtype=complex)
-    if not np.isfinite(m).all():
-        raise ValueError("state entries must be finite")
+    _require_finite(**{f"{name} entries": m})
     return m
 
 
@@ -69,8 +73,7 @@ class MesonParams:
     label: str = "custom"
 
     def __post_init__(self):
-        if not (math.isfinite(self.gamma_s) and math.isfinite(self.gamma_l)):
-            raise ValueError("decay widths must be finite")
+        _require_finite(gamma_s=self.gamma_s, gamma_l=self.gamma_l)
         if self.gamma_s < 0.0 or self.gamma_l < 0.0:
             raise ValueError("decay widths must be nonnegative")
         if self.gamma_s < self.gamma_l:
@@ -142,11 +145,9 @@ class Quasispin:
     @classmethod
     def from_mass_state(cls, v: np.ndarray) -> "Quasispin":
         """Angles of a two-component state, global phase stripped."""
-        v = np.asarray(v, dtype=complex)
+        v = _entries(v)
         if v.shape != (2,):
             raise ValueError("expected a two-component state")
-        if not np.isfinite(v).all():
-            raise ValueError("state entries must be finite")
         norm = np.linalg.norm(v)
         if norm < 1e-14:
             raise ValueError("zero vector has no direction")

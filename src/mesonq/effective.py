@@ -85,8 +85,7 @@ def _propagate(amps, t, params: MesonParams) -> np.ndarray:
         return np.array([amps[0] * math.exp(-0.5 * params.gamma_s * t),
                          amps[1] * cmath.exp(1j * t - 0.5 * params.gamma_l * t)])
     t = np.asarray(t, dtype=float)
-    if not np.isfinite(t).all():
-        raise ValueError(f"t must be finite, got {t[~np.isfinite(t)][0]}")
+    _require_finite(t=t)
     if (t < 0.0).any():
         raise ValueError("observables live at detection times t >= 0")
     # numpy's complex exp is libm's exp bit for bit, while its vectorized
@@ -299,9 +298,15 @@ def bipartite_expectation(o1: ObservableMatrix, o2: ObservableMatrix, rho0) -> f
     rho = _entries(rho0)
     if rho.shape != (4, 4):
         raise ValueError("expected a 4x4 two-particle initial state")
-    return _pair_expectation(o1.matrix, o2.matrix, rho)
+    return float(_pair_expectation(o1.matrix, o2.matrix, rho))
 
 
-def _pair_expectation(a: np.ndarray, b: np.ndarray, rho4: np.ndarray) -> float:
-    """Tr((A x B) rho4) for 2x2 matrices A, B and a 4x4 pair state."""
-    return float(np.trace(np.kron(a, b) @ rho4).real)
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of 2x2 matrices on the last two axes, leading axes kept."""
+    k = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return k.reshape(k.shape[:-4] + (4, 4))
+
+
+def _pair_expectation(a: np.ndarray, b: np.ndarray, rho4: np.ndarray) -> np.ndarray:
+    """Tr((A x B) rho4) for (stacks of) 2x2 matrices A, B and a 4x4 pair state."""
+    return np.trace(_kron(a, b) @ rho4, axis1=-2, axis2=-1).real

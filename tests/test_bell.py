@@ -8,14 +8,16 @@ from hypothesis import strategies as st
 import mesonq.bell
 from mesonq import (
     K0BAR_DIRECTION, MesonParams, Quasispin, bell_bounds, bell_operator,
-    bipartite_mu_bound, bmeson_defaults, chsh_value, cp_bell_test,
-    effective_operator, effective_operator_cp, hermitian_eigen, kaon_defaults,
-    sample_witness_max, scan_bell, singlet_state, spectral,
+    bipartite_expectation, bipartite_mu_bound, bmeson_defaults, chsh_value,
+    cp_bell_test, effective_operator, effective_operator_cp, hermitian_eigen,
+    kaon_defaults, sample_witness_max, scan_bell, singlet_state, spectral,
 )
 from mesonq.bell import TIME_POLICIES, BellSetting
 from mesonq.core import PAULI, PAULI_Z, _require_hermitian
 from mesonq.effective import _rank_one, eigenpair_from_matrix
 from mesonq.evolution import _surviving_pair
+
+from conftest import random_density
 
 SQRT2 = math.sqrt(2.0)
 
@@ -47,11 +49,24 @@ def literal_refinement(bell, n_states, seed, refine_steps):
     """Best sample of a fresh draw, then one normalized power step at a time."""
     z = fresh_draw(n_states, seed)
     psi = z[np.argmax(np.einsum("ni,ij,nj->n", z.conj(), bell, z).real)]
-    shifted = bell + 5.0 * np.eye(4)
+    shifted = bell + np.abs(bell).sum(axis=1).max() * np.eye(4)
     for _ in range(refine_steps):
         psi = shifted @ psi
         psi /= np.linalg.norm(psi)
     return float(np.vdot(psi, bell @ psi).real)
+
+
+def kron_reference(s, rho4, params):
+    """Witness, CHSH (s, witness) and E_nm from per-question np.kron products."""
+    build = effective_operator_cp if s.cp_mode else effective_operator
+    o_n, o_m, o_np, o_mp = (build(q, t, params).matrix for q, t in (
+        (s.k_n, s.t_n), (s.k_m, s.t_m), (s.k_np, s.t_np), (s.k_mp, s.t_mp)))
+    bell = np.kron(o_n, o_m - o_mp) + np.kron(o_np, o_m + o_mp)
+    e_nm, e_nmp, e_npm, e_npmp = (
+        float(np.trace(np.kron(a, b) @ rho4).real)
+        for a, b in ((o_n, o_m), (o_n, o_mp), (o_np, o_m), (o_np, o_mp)))
+    return (bell, abs(e_nm - e_nmp) + abs(e_npm + e_npmp),
+            e_nm - e_nmp + e_npm + e_npmp, e_nm)
 
 
 def singlet4():
@@ -171,8 +186,23 @@ class TestSampleWitnessMax:
             want = literal_refinement(b, 10_000, seed, refine_steps)
             assert abs(got - want) <= 1e-12
 
+    @pytest.mark.parametrize("diagonal, n_states, top", [
+        ([-20.0, 0.0, 0.0, 0.0], 100, 0.0),
+        ([-12.0, 1.0, 0.0, 0.0], 10_000, 1.0),
+    ])
+    def test_refinement_past_a_large_negative_eigenvalue(self, diagonal,
+                                                         n_states, top):
+        # the shift must exceed |-20| and |-12| for the top eigenvalue to dominate
+        b = np.diag(diagonal).astype(complex)
+        got = sample_witness_max(b, n_states, refine_steps=300)
+        assert got == pytest.approx(top, abs=1e-12)
+
+    def test_zero_witness_refines_to_zero(self):
+        assert sample_witness_max(np.zeros((4, 4)), 100, refine_steps=300) == 0.0
+
     def test_long_refinement_stays_finite(self, kaon):
-        # (Bell + 5)^5000 has entries near 9^5000: the powers are rescaled
+        # (Bell + s)^5000 has entries near (lambda_max + s)^5000: the powers
+        # are rescaled
         for b in verify_witnesses(kaon):
             got = sample_witness_max(b, 10_000, refine_steps=5000)
             assert math.isfinite(got)
@@ -220,6 +250,26 @@ class TestChshValue:
     def test_non_finite_state_rejected(self, kaon):
         with pytest.raises(ValueError, match="state entries must be finite"):
             chsh_value(planar_setting(), np.full((4, 4), math.nan), kaon)
+
+
+class TestKronReference:
+    @pytest.mark.parametrize("cp_mode", [False, True])
+    def test_bit_identical_to_per_question_kron(self, kaon, rng, cp_mode):
+        build = effective_operator_cp if cp_mode else effective_operator
+        for _ in range(100):
+            qs = [Quasispin(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+                  for _ in range(4)]
+            ts = rng.uniform(0, 8, 4).tolist()
+            s = BellSetting(qs[0], ts[0], qs[1], ts[1], qs[2], ts[2], qs[3], ts[3],
+                            cp_mode=cp_mode)
+            rho4 = random_density(rng, 4)
+            bell, chsh_s, chsh_witness, e_nm = kron_reference(s, rho4, kaon)
+            assert np.array_equal(bell_operator(s, kaon), bell)
+            v = chsh_value(s, rho4, kaon)
+            assert (v.s, v.witness) == (chsh_s, chsh_witness)
+            e = bipartite_expectation(build(qs[0], ts[0], kaon),
+                                      build(qs[1], ts[1], kaon), rho4)
+            assert e == e_nm
 
 
 class TestCpBellTest:
@@ -320,9 +370,9 @@ class TestScanBell:
         with pytest.raises(ValueError, match="sorted"):
             scan_bell("all-equal", [1.0, 0.5], kaon)
         for bad in (math.nan, math.inf):
-            with pytest.raises(ValueError, match="t_m must be finite"):
+            with pytest.raises(ValueError, match=f"t_m must be finite, got {bad}"):
                 scan_bell("alternating-1", [0.0, bad], kaon)
-            with pytest.raises(ValueError, match="t_np must be finite"):
+            with pytest.raises(ValueError, match=f"t_np must be finite, got {bad}"):
                 strangeness_setting(0.0, 0.0, bad, 0.0)
 
     def test_negative_times_rejected(self, kaon):

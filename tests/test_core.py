@@ -11,6 +11,7 @@ from mesonq import (
 )
 from mesonq.core import (
     k0bar_state, k1_state, kl_state, ks_state, mass_to_strangeness_matrix,
+    _require_finite,
 )
 
 from conftest import random_pure_state
@@ -44,6 +45,18 @@ class TestPresets:
             MesonParams(gamma_s=1.0, gamma_l=2.0)
         with pytest.raises(ValueError):
             MesonParams(gamma_s=1.0, gamma_l=0.5, delta=1.0)
+        with pytest.raises(ValueError, match="gamma_l must be finite, got nan"):
+            MesonParams(gamma_s=1.0, gamma_l=math.nan)
+
+
+class TestRequireFinite:
+    def test_array_names_first_bad_value(self):
+        _require_finite(t=np.zeros(3), rho=np.eye(2, dtype=complex))
+        with pytest.raises(ValueError, match=r"t_m must be finite, got inf"):
+            _require_finite(t_n=np.array([0.0, 1.0]),
+                            t_m=np.array([0.5, math.inf, math.nan]))
+        with pytest.raises(ValueError, match=r"rho must be finite, got \(nan\+0j\)"):
+            _require_finite(rho=np.array([[1.0, complex(math.nan, 0.0)]]))
 
 
 class TestQuasispin:

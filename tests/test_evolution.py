@@ -11,6 +11,7 @@ from mesonq import (
 from mesonq.core import mass_to_strangeness_matrix
 from mesonq.evolution import (
     DensityMatrix, embed_surviving, pure_density, singlet_vector,
+    _rk4_propagator, _rk4_step,
 )
 
 from conftest import random_density, random_pure_state
@@ -159,6 +160,14 @@ class TestLindbladIntegrator:
             lindblad_integrate(rho, 5.0, bmeson, dt=0.5)
         with pytest.raises(ValueError, match="reduce dt"):
             lindblad_integrate(singlet_state(), 5.0, bmeson, dt=0.5)
+
+    def test_vector_step_matches_propagator(self, rng):
+        # the step-doubling estimate applies the half step to vectors
+        for d in (4, 16, 64):
+            lv = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            v = random_pure_state(rng, d)
+            want = _rk4_propagator(5e-4 * lv) @ v
+            assert np.abs(_rk4_step(lv, v, 5e-4) - want).max() <= 1e-15
 
     def test_input_validation(self, kaon):
         rho = embed_surviving(np.eye(2) / 2)
