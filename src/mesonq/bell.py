@@ -27,6 +27,7 @@ from .core import (
 )
 from .effective import (
     _amplitudes, _checked_bloch, _kron, _pair_expectation, _propagate, _rank_one,
+    effective_operator,  # noqa: F401 (bench/selftest.py traces this binding)
 )
 from .evolution import _surviving_pair, singlet_state
 from .uncertainty import _bloch_mu_bound
@@ -319,11 +320,10 @@ def sample_witness_max(bell: np.ndarray, n_states: int = 10_000,
     z = _haar_draw(n_states, seed)
     values = ((z.conj() @ bell) * z).sum(-1).real
     best = int(np.argmax(values))
-    shift = np.abs(bell).sum(axis=1).max()
-    if refine_steps == 0 or shift == 0.0:  # a zero witness has nothing to refine
+    shifted = bell + np.abs(bell).sum(axis=1).max() * np.eye(4)
+    if refine_steps == 0 or not shifted.any():  # Bell = -sI: every sample is exact
         return float(values[best])
-    # each product is divided by its largest entry, so no power overflows
-    shifted, power = bell + shift * np.eye(4), np.eye(4)
+    power = np.eye(4)  # each product is divided by its largest entry
     while refine_steps:
         if refine_steps & 1:
             power = power @ shifted

@@ -197,8 +197,11 @@ class TestSampleWitnessMax:
         got = sample_witness_max(b, n_states, refine_steps=300)
         assert got == pytest.approx(top, abs=1e-12)
 
-    def test_zero_witness_refines_to_zero(self):
-        assert sample_witness_max(np.zeros((4, 4)), 100, refine_steps=300) == 0.0
+    @pytest.mark.parametrize("c", [0.0, 1.0, 3.0])
+    def test_multiple_of_identity_refines_to_its_value(self, c):
+        # Bell + s is zero here, so there is no power to normalize
+        got = sample_witness_max(-c * np.eye(4), 100, refine_steps=300)
+        assert got == pytest.approx(-c, rel=1e-15, abs=1e-15)
 
     def test_long_refinement_stays_finite(self, kaon):
         # (Bell + s)^5000 has entries near (lambda_max + s)^5000: the powers
