@@ -302,7 +302,7 @@ def bipartite_expectation(o1: ObservableMatrix, o2: ObservableMatrix, rho0) -> f
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of 2x2 matrices on the last two axes, leading axes kept."""
+    """Kronecker product of 2x2 matrices on the last two axes, leading axes kept."""
     k = a[..., :, None, :, None] * b[..., None, :, None, :]
     return k.reshape(k.shape[:-4] + (4, 4))
 
