@@ -181,9 +181,7 @@ def _chsh(o: np.ndarray, rho4: np.ndarray) -> ChshValue:
 
 def chsh_value(s: BellSetting, rho0, params: MesonParams) -> ChshValue:
     """CHSH value |E_nm - E_nm'| + |E_n'm + E_n'm'| for a t=0 pair state."""
-    rho4 = _entries(rho0)
-    if rho4.shape != (4, 4):
-        raise ValueError("expected a 4x4 two-particle initial state")
+    rho4 = _entries(rho0, "state", (4, 4))
     return _chsh(_observables(*_questions(s), params, s.cp_mode)[1], rho4)
 
 
@@ -306,9 +304,7 @@ def sample_witness_max(bell: np.ndarray, n_states: int = 10_000,
     normalized draw of the last (n_states, seed) is kept, so witnesses sampled
     with one seed share it.
     """
-    bell = _entries(bell, "witness")
-    if bell.shape != (4, 4):
-        raise ValueError(f"expected a 4x4 witness, got shape {bell.shape}")
+    bell = _entries(bell, "witness", (4, 4))
     _require_hermitian(bell)
     n_states = _index("n_states", n_states)
     refine_steps = _index("refine_steps", refine_steps)

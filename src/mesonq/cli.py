@@ -9,8 +9,9 @@ bell         CSV of witness eigenvalue scans, or the CP-sensitive test
 verify       cross-check the closed forms against their independent oracles
 
 Times are accepted and reported either in mass-splitting units (dm) or in
-short-lifetime units (tau_s); all internal math runs in dm units.  A JSON
-config file can supply any long option; explicit flags win.
+short-lifetime units (tau_s); all internal math runs in dm units.  Each
+subcommand takes only the options it reads.  A JSON config file can supply any
+long option; explicit flags win.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ def _load_config(path: str | None) -> dict:
 
 
 def _merged(args: argparse.Namespace, key: str, default):
-    val = getattr(args, key, None)
+    val = getattr(args, key)
     if val is not None:
         return val
     return args.config_values.get(key.replace("_", "-"),
@@ -136,9 +137,15 @@ def _grid(args, params, default=(0.0, 6.0, 601)) -> np.ndarray:
     return np.linspace(t_min, t_max, steps) * _time_scale(args, params)
 
 
-def _out_unit_factor(args, params) -> float:
-    """Multiplier turning internal dm times into the reporting unit."""
-    return 1.0 / _time_scale(args, params)
+def _refuse(args, mode: str, *keys: str) -> None:
+    """Exit naming the flags among keys given on the command line (not --config)."""
+    given = [f"--{k.replace('_', '-')}" for k in keys
+             if getattr(args, k) is not None]
+    if given:
+        raise SystemExit(f"{mode} ignores {', '.join(given)}")
+
+
+_SYSTEM_KEYS = ("system", "gamma_s", "gamma_l", "delta")
 
 
 def _parse_obs(text: str) -> tuple[Quasispin, float]:
@@ -177,11 +184,12 @@ def _bloch_axes(amps, t, params: MesonParams) -> np.ndarray:
 
 
 def cmd_uncertainty(args) -> int:
-    fig = getattr(args, "fig", None)
+    fig = args.fig
     out = _merged(args, "out", None)
-    if fig in ("3a", "3b"):
-        return _uncertainty_bipartite_fig(args, fig, out)
     if fig is not None:
+        _refuse(args, f"--fig {fig}", *_SYSTEM_KEYS, "obs1", "obs2")
+        if fig in ("3a", "3b"):
+            return _uncertainty_bipartite_fig(args, fig, out)
         params = stable_defaults() if fig == "1b" else kaon_defaults()
         cp = fig not in ("1a", "1b")
         questions = _CP_QUESTIONS[fig] if cp else (Quasispin(0.5 * math.pi, 0.0),) * 2
@@ -205,7 +213,7 @@ def cmd_uncertainty(args) -> int:
                     for q, u in ((q1, u1), (q2, u2)))
     bound, best, argmax_j = _bloch_mu_bound(n_1, n_2)
     _write_csv(out, ["t", "bound", "max_overlap", "argmax_i", "argmax_j"],
-               [grid * _out_unit_factor(args, params), bound, best, 1, argmax_j])
+               [grid * (1.0 / _time_scale(args, params)), bound, best, 1, argmax_j])
     return 0
 
 
@@ -213,7 +221,7 @@ def _uncertainty_bipartite_fig(args, fig: str, out) -> int:
     params = kaon_defaults()
     amps = Quasispin(0.5 * math.pi, 0.0).state_mass()
     grid = _grid(args, params, (0.0, 4.0, 201))
-    unit = _out_unit_factor(args, params)
+    unit = 1.0 / _time_scale(args, params)
     # t1 = 0.25 j t for j = 0..4: exactly 0 at j = 0 and exactly t at j = 4
     t1 = 0.25 * np.arange(5) * grid[:, None]
     n_0 = _bloch_axes(amps, 0.0, params)
@@ -267,6 +275,8 @@ def _parse_quasispins(text: str) -> tuple[Quasispin, ...]:
 
 def cmd_bell(args) -> int:
     if args.cp_test:
+        _refuse(args, "--cp-test", "fig", "quasispins", "system", "gamma_s",
+                "gamma_l", "t_min", "t_max", "steps", "time_unit", "out")
         delta = float(_merged(args, "delta", kaon_defaults().delta))
         report = cp_bell_test(delta)
         print(f"delta={delta:.6g}")
@@ -281,8 +291,9 @@ def cmd_bell(args) -> int:
             print("result: both variants violate (unexpected)")
         return 0
 
-    fig = getattr(args, "fig", None)
+    fig = args.fig
     if fig is not None:
+        _refuse(args, f"--fig {fig}", *_SYSTEM_KEYS)
         policy = _POLICY_FOR_FIG[fig]
         if fig == "5a":
             gl = kaon_defaults().gamma_l
@@ -302,7 +313,7 @@ def cmd_bell(args) -> int:
     _write_csv(_merged(args, "out", None),
                ["t", "lambda_min", "lambda_max", "summand_mu_bound",
                 "classical_hi", "classical_lo", "tsirelson_hi", "tsirelson_lo"],
-               [t * _out_unit_factor(args, params), lam_min, lam_max, mu,
+               [t * (1.0 / _time_scale(args, params)), lam_min, lam_max, mu,
                 CLASSICAL_BOUND, -CLASSICAL_BOUND, TSIRELSON_BOUND,
                 -TSIRELSON_BOUND])
     return 0
@@ -376,15 +387,16 @@ def cmd_verify(args) -> int:
         raise SystemExit("trials must be >= 1")
     seed = int(_merged(args, "seed", DEFAULT_SEED))
     rng = np.random.default_rng(seed)
-    dev_evo = _verify_closed_vs_integrator(params, rng, trials)
-    dev_joint = _verify_effective_vs_joint(params, rng, trials)
-    dev_bell = _verify_witness_sampling(params, seed)
-    dev_bloch = _verify_bloch_vs_eigenvectors(params, rng, trials)
-    print(f"closed_vs_integrator_max_dev={dev_evo:.3e} (tolerance 1e-8)")
-    print(f"effective_vs_joint_max_dev={dev_joint:.3e} (tolerance 1e-9)")
-    print(f"witness_vs_sampling_max_dev={dev_bell:.3e} (tolerance 1e-8)")
-    print(f"bloch_vs_eigenvector_max_dev={dev_bloch:.3e} (tolerance 1e-10)")
-    ok = dev_evo < 1e-8 and dev_joint < 1e-9 and dev_bell < 1e-8 and dev_bloch < 1e-10
+    draws = (params, rng, trials)
+    checks = (  # (name, tolerance, max deviation); rng is drawn from in this order
+        ("closed_vs_integrator", "1e-8", _verify_closed_vs_integrator(*draws)),
+        ("effective_vs_joint", "1e-9", _verify_effective_vs_joint(*draws)),
+        ("witness_vs_sampling", "1e-8", _verify_witness_sampling(params, seed)),
+        ("bloch_vs_eigenvector", "1e-10", _verify_bloch_vs_eigenvectors(*draws)),
+    )
+    for name, tol, dev in checks:
+        print(f"{name}_max_dev={dev:.3e} (tolerance {tol})")
+    ok = all(dev < float(tol) for _, tol, dev in checks)
     if args.literal_bipartite_generator:
         plus = np.array([1.0, 1.0, 0.0, 0.0]) / math.sqrt(2.0)
         prod = pure_density(np.kron(plus, plus))
@@ -403,37 +415,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Effective-operator toolkit for decaying two-state systems")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--system", choices=("kaon", "bmeson", "stable"))
-        p.add_argument("--gamma-s", dest="gamma_s", type=float)
-        p.add_argument("--gamma-l", dest="gamma_l", type=float)
-        p.add_argument("--delta", type=float)
-        p.add_argument("--t-min", dest="t_min", type=float)
-        p.add_argument("--t-max", dest="t_max", type=float)
-        p.add_argument("--steps", type=int)
-        p.add_argument("--time-unit", dest="time_unit", choices=("dm", "tau_s"))
-        p.add_argument("--seed", type=int)
-        p.add_argument("--out")
-        p.add_argument("--config")
+    system = argparse.ArgumentParser(add_help=False)
+    system.add_argument("--config")
+    system.add_argument("--system", choices=("kaon", "bmeson", "stable"))
+    system.add_argument("--gamma-s", dest="gamma_s", type=float)
+    system.add_argument("--gamma-l", dest="gamma_l", type=float)
+    system.add_argument("--delta", type=float)
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument("--t-min", dest="t_min", type=float)
+    grid.add_argument("--t-max", dest="t_max", type=float)
+    grid.add_argument("--steps", type=int)
+    grid.add_argument("--time-unit", dest="time_unit", choices=("dm", "tau_s"))
+    grid.add_argument("--out")
 
-    p = sub.add_parser("constants", help="print system parameters")
-    add_common(p)
+    p = sub.add_parser("constants", parents=[system], help="print system parameters")
     p.set_defaults(func=cmd_constants)
 
-    p = sub.add_parser("uncertainty", help="entropic bound scans")
-    add_common(p)
+    p = sub.add_parser("uncertainty", parents=[system, grid],
+                       help="entropic bound scans")
     p.add_argument("--fig", choices=[f for f in FIG_CHOICES if f[0] in "123"])
     p.add_argument("--obs1", help="alpha,phi,t of the first observable")
     p.add_argument("--obs2", help="alpha,phi,t of the second observable")
     p.add_argument("--scan", choices=("obs1", "obs2", "both"), default="obs2")
     p.set_defaults(func=cmd_uncertainty)
 
-    p = sub.add_parser("times", help="characteristic times")
-    add_common(p)
+    p = sub.add_parser("times", parents=[system], help="characteristic times")
     p.set_defaults(func=cmd_times)
 
-    p = sub.add_parser("bell", help="witness eigenvalue scans and CP test")
-    add_common(p)
+    p = sub.add_parser("bell", parents=[system, grid],
+                       help="witness eigenvalue scans and CP test")
     p.add_argument("--fig", choices=list(_POLICY_FOR_FIG))
     p.add_argument("--policy", choices=("all-equal", "alternating-1",
                                         "alternating-2"), default="alternating-1")
@@ -442,8 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cp-test", dest="cp_test", action="store_true")
     p.set_defaults(func=cmd_bell)
 
-    p = sub.add_parser("verify", help="oracle cross-checks")
-    add_common(p)
+    p = sub.add_parser("verify", parents=[system], help="oracle cross-checks")
+    p.add_argument("--seed", type=int)
     p.add_argument("--trials", type=int)
     p.add_argument("--literal-bipartite-generator", action="store_true")
     p.set_defaults(func=cmd_verify)
@@ -480,7 +490,7 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(_join_negative_floats(list(argv)))
-    args.config_values = _load_config(getattr(args, "config", None))
+    args.config_values = _load_config(args.config)
     return args.func(args)
 
 

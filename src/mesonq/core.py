@@ -53,9 +53,16 @@ def _require_finite(**values) -> None:
             raise ValueError(f"{name} must be finite, got {bad[0]}")
 
 
-def _entries(rho, name: str = "state") -> np.ndarray:
-    """Complex entries of a DensityMatrix or array-like state, checked finite."""
+def _entries(rho, name: str = "state", *shapes: tuple[int, ...]) -> np.ndarray:
+    """Complex entries of a DensityMatrix or array-like, checked finite.
+
+    With shapes given, the entries must also have one of them.
+    """
     m = np.asarray(getattr(rho, "entries", rho), dtype=complex)
+    if shapes and m.shape not in shapes:
+        sizes = ("x".join(map(str, s)) if len(s) > 1 else f"{s[0]}-component"
+                 for s in shapes)
+        raise ValueError(f"expected a {' or '.join(sizes)} {name}, got shape {m.shape}")
     _require_finite(**{f"{name} entries": m})
     return m
 
@@ -145,9 +152,7 @@ class Quasispin:
     @classmethod
     def from_mass_state(cls, v: np.ndarray) -> "Quasispin":
         """Angles of a two-component state, global phase stripped."""
-        v = _entries(v)
-        if v.shape != (2,):
-            raise ValueError("expected a two-component state")
+        v = _entries(v, "state", (2,))
         norm = np.linalg.norm(v)
         if norm < 1e-14:
             raise ValueError("zero vector has no direction")
@@ -177,11 +182,9 @@ def _require_hermitian(m: np.ndarray) -> None:
 def hermitian_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and eigenvector columns of a Hermitian matrix.
 
-    m must be square of dimension 2, 4 or 16 and pass the Hermiticity check.
+    m must be a finite 2x2, 4x4 or 16x16 matrix and pass the Hermiticity check.
     """
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] not in (2, 4, 16):
-        raise ValueError("expected a square matrix of dimension 2, 4 or 16")
+    m = _entries(m, "matrix", (2, 2), (4, 4), (16, 16))
     _require_hermitian(m)
     vals, vecs = np.linalg.eigh(m)
     return vals[::-1], vecs[:, ::-1]

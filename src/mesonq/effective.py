@@ -287,17 +287,13 @@ def eigenpair_from_matrix(m: np.ndarray, basis: str = "mass") -> EigenPair:
 
 def expectation(o: ObservableMatrix, rho0) -> float:
     """Tr(O rho0) = 2 P(yes) - 1 for a t=0 state on the surviving space."""
-    rho = _entries(rho0)
-    if rho.shape != (2, 2):
-        raise ValueError("expected a 2x2 initial state")
+    rho = _entries(rho0, "state", (2, 2))
     return float(np.trace(o.matrix @ rho).real)
 
 
 def bipartite_expectation(o1: ObservableMatrix, o2: ObservableMatrix, rho0) -> float:
     """Tr((O1 x O2) rho0) for a t=0 pair state on surviving x surviving."""
-    rho = _entries(rho0)
-    if rho.shape != (4, 4):
-        raise ValueError("expected a 4x4 two-particle initial state")
+    rho = _entries(rho0, "state", (4, 4))
     return float(_pair_expectation(o1.matrix, o2.matrix, rho))
 
 

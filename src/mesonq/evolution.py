@@ -42,9 +42,7 @@ class DensityMatrix:
     entries: np.ndarray
 
     def __post_init__(self):
-        m = _entries(self.entries, "density matrix")
-        if m.shape not in ((2, 2), (4, 4), (16, 16)):
-            raise ValueError("density matrix must be 2x2, 4x4 or 16x16")
+        m = _entries(self.entries, "density matrix", (2, 2), (4, 4), (16, 16))
         if np.abs(m - m.conj().T).max() > _HERM_TOL * max(1.0, np.abs(m).max()):
             raise ValueError("density matrix must be hermitian")
         object.__setattr__(self, "entries", m)
@@ -116,11 +114,9 @@ def evolve_single_closed(rho, t: float, params: MesonParams) -> DensityMatrix:
     _require_finite(t=t)
     if t < 0.0:
         raise ValueError("closed form is valid forward in time only")
-    m = _entries(rho)
+    m = _entries(rho, "state", (2, 2), (4, 4))
     if m.shape == (2, 2):
         m = embed_surviving(m)
-    elif m.shape != (4, 4):
-        raise ValueError("expected a 2x2 or 4x4 state")
     return DensityMatrix(_closed_map4(m, t, params))
 
 
@@ -138,9 +134,7 @@ def evolve_bipartite(rho, t: float, params: MesonParams) -> DensityMatrix:
     _require_finite(t=t)
     if t < 0.0:
         raise ValueError("closed form is valid forward in time only")
-    m = _entries(rho)
-    if m.shape != (16, 16):
-        raise ValueError("expected a 16x16 pair state")
+    m = _entries(rho, "pair state", (16, 16))
     r = _closed_map4(m.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3), t, params)
     r = _closed_map4(r.transpose(2, 3, 0, 1), t, params)
     return DensityMatrix(r.transpose(2, 0, 3, 1).reshape(16, 16))
@@ -256,9 +250,7 @@ def lindblad_integrate(rho, t: float, params: MesonParams, dt: float = 1e-3,
         raise ValueError("dt must be positive")
     if t < 0.0:
         raise ValueError("integration runs forward in time only")
-    m = _entries(rho)
-    if m.shape not in ((4, 4), (16, 16)):
-        raise ValueError("expected a 4x4 or 16x16 state")
+    m = _entries(rho, "state", (4, 4), (16, 16))
     dim = m.shape[0]
     h, gens = _generators(params, dim, summed_generator)
     g = -1j * h - 0.5 * sum(a.conj().T @ a for a in gens)
@@ -307,7 +299,8 @@ def singlet_state() -> DensityMatrix:
 
 def _surviving_pair(rho) -> np.ndarray:
     """Surviving x surviving 4x4 block of a 16-dim pair state."""
-    return _entries(rho).reshape(4, 4, 4, 4)[:2, :2, :2, :2].reshape(4, 4)
+    m = _entries(rho, "pair state", (16, 16))
+    return m.reshape(4, 4, 4, 4)[:2, :2, :2, :2].reshape(4, 4)
 
 
 @dataclass(frozen=True)
@@ -339,9 +332,7 @@ def joint_probabilities(rho, k_n: Quasispin, t_n: float, k_m: Quasispin,
     _require_finite(t_n=t_n, t_m=t_m)
     if t_m < 0.0 or t_n < t_m:
         raise ValueError("measurement ordering requires t_n >= t_m >= 0")
-    m = _entries(rho)
-    if m.shape != (16, 16):
-        raise ValueError("expected a 16x16 pair state")
+    m = _entries(rho, "pair state", (16, 16))
     r = evolve_bipartite(m, t_m, params).entries.reshape(4, 4, 4, 4)
     p_m = quasispin_projector4(k_m)
     p_n = quasispin_projector4(k_n)

@@ -149,8 +149,9 @@ class TestSampleWitnessMax:
             sample_witness_max(np.triu(np.ones((4, 4))), 100)
 
     def test_wrong_shape_rejected(self):
-        with pytest.raises(ValueError, match="expected a 4x4 witness"):
-            sample_witness_max(np.eye(2), 100)
+        for bad in (np.eye(2), np.ones(16)):
+            with pytest.raises(ValueError, match="expected a 4x4 witness"):
+                sample_witness_max(bad, 100)
 
     def test_no_states_rejected(self, kaon):
         b = bell_operator(planar_setting(), kaon)
@@ -253,6 +254,8 @@ class TestChshValue:
     def test_non_finite_state_rejected(self, kaon):
         with pytest.raises(ValueError, match="state entries must be finite"):
             chsh_value(planar_setting(), np.full((4, 4), math.nan), kaon)
+        with pytest.raises(ValueError, match="expected a 4x4 state"):
+            chsh_value(planar_setting(), singlet_state(), kaon)
 
 
 class TestKronReference:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import mesonq.cli
-from mesonq.cli import main
+from mesonq.cli import build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -20,6 +21,45 @@ def run(capsys, *argv):
 def read_rows(path):
     with open(path) as fh:
         return list(csv.DictReader(fh))
+
+
+SYSTEM_OPTIONS = {"--config", "--system", "--gamma-s", "--gamma-l", "--delta"}
+GRID_OPTIONS = {"--t-min", "--t-max", "--steps", "--time-unit", "--out"}
+
+
+def subcommand_options(name):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {s for a in sub.choices[name]._actions for s in a.option_strings
+            if s not in ("-h", "--help")}
+
+
+OWN_OPTIONS = {
+    "constants": set(),
+    "times": set(),
+    "verify": {"--seed", "--trials", "--literal-bipartite-generator"},
+    "uncertainty": GRID_OPTIONS | {"--fig", "--obs1", "--obs2", "--scan"},
+    "bell": GRID_OPTIONS | {"--fig", "--policy", "--quasispins", "--cp-test"},
+}
+
+
+class TestOptions:
+    @pytest.mark.parametrize("name", OWN_OPTIONS)
+    def test_each_subcommand_declares_what_it_reads(self, name):
+        assert subcommand_options(name) == SYSTEM_OPTIONS | OWN_OPTIONS[name]
+
+    @pytest.mark.parametrize("argv", [
+        ["constants", "--out", "x.csv"],
+        ["times", "--steps", "5"],
+        ["verify", "--t-max", "2"],
+        ["uncertainty", "--fig", "1a", "--seed", "1"],
+        ["bell", "--fig", "4b", "--seed", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_unread_flag_exits_2(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(argv[-2:])}" in capsys.readouterr().err
 
 
 class TestConstants:
@@ -93,6 +133,15 @@ class TestUncertaintyCommand:
         assert len(rows) == 11
         assert float(rows[0]["bound"]) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("argv,flags", [
+        (["--fig", "2a", "--delta=0.01"], "--delta"),
+        (["--fig", "1a", "--obs1", "1.5708,0,0"], "--obs1"),
+        (["--fig", "3b", "--system", "kaon", "--obs2", "0,0,0"], "--system, --obs2"),
+    ], ids=["delta", "obs1", "system-obs2"])
+    def test_fig_refuses_flags_it_ignores(self, argv, flags):
+        with pytest.raises(SystemExit, match=f"--fig {argv[1]} ignores {flags}$"):
+            main(["uncertainty"] + argv)
+
     def test_malformed_observable(self, capsys):
         with pytest.raises(SystemExit, match="malformed observable"):
             main(["uncertainty", "--obs1", "1.0,0.0", "--obs2", "0,0,0"])
@@ -125,6 +174,29 @@ class TestBellCommand:
     def test_fig_outside_bell_presets_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["bell", "--fig", "1a"])
+
+    @pytest.mark.parametrize("argv,mode,flags", [
+        (["--fig", "4b", "--system", "bmeson"], "--fig 4b", "--system"),
+        (["--fig", "4b", "--gamma-s", "3", "--gamma-l", "1", "--delta", "0.2"],
+         "--fig 4b", "--gamma-s, --gamma-l, --delta"),
+        (["--cp-test", "--fig", "4a"], "--cp-test", "--fig"),
+        (["--cp-test", "--steps", "5", "--out", "x.csv"], "--cp-test",
+         "--steps, --out"),
+    ], ids=["fig-preset", "fig-custom", "cp-test-fig", "cp-test-grid"])
+    def test_preset_refuses_flags_it_ignores(self, argv, mode, flags):
+        with pytest.raises(SystemExit, match=f"{mode} ignores {flags}$"):
+            main(["bell"] + argv)
+
+    def test_fig_reads_quasispins_and_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"system": "bmeson", "delta": 0.2}))
+        a, b, c = (tmp_path / f"{n}.csv" for n in "abc")
+        base = ["bell", "--fig", "4b", "--steps", "5"]
+        main(base + ["--out", str(a)])
+        main(base + ["--config", str(cfg), "--out", str(b)])
+        main(base + ["--quasispins", "0,0;0,0;0,0;0,0", "--out", str(c)])
+        capsys.readouterr()
+        assert a.read_bytes() == b.read_bytes() != c.read_bytes()
 
     def test_cp_test_reports_single_violation(self, capsys):
         code, out = run(capsys, "bell", "--cp-test", "--delta", "3.322e-3")

@@ -91,6 +91,8 @@ class TestQuasispin:
         for bad in ([math.nan, 0.0], [1.0, math.inf], [-math.inf, math.nan]):
             with pytest.raises(ValueError, match="state entries must be finite"):
                 Quasispin.from_mass_state(np.array(bad))
+        with pytest.raises(ValueError, match="expected a 2-component state"):
+            Quasispin.from_mass_state(np.array([1.0, 0.0, 0.0]))
 
     def test_from_mass_state_roundtrip(self, rng):
         for _ in range(20):
@@ -143,8 +145,14 @@ class TestHermitianEigen:
             hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_odd_dimensions(self):
-        with pytest.raises(ValueError):
-            hermitian_eigen(np.eye(3))
+        for bad in (np.eye(3), np.ones((2, 4)), np.ones(4)):
+            with pytest.raises(ValueError, match="expected a 2x2 or 4x4 or 16x16"):
+                hermitian_eigen(bad)
+
+    def test_rejects_non_finite(self):
+        # reported as such, not as a failed Hermiticity check
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            hermitian_eigen(np.full((2, 2), math.nan))
 
 
 class TestCpBasisData:

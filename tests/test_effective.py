@@ -431,6 +431,10 @@ class TestExpectation:
             expectation(o, np.full((2, 2), math.nan))
         with pytest.raises(ValueError, match="state entries must be finite"):
             bipartite_expectation(o, o, np.full((4, 4), math.nan))
+        with pytest.raises(ValueError, match="expected a 2x2 state"):
+            expectation(o, np.eye(4) / 4)
+        with pytest.raises(ValueError, match="expected a 4x4 state"):
+            bipartite_expectation(o, o, np.eye(2) / 2)
 
 
 class TestBipartiteExpectation:

@@ -11,7 +11,7 @@ from mesonq import (
 from mesonq.core import mass_to_strangeness_matrix
 from mesonq.evolution import (
     DensityMatrix, embed_surviving, pure_density, singlet_vector,
-    _rk4_propagator, _rk4_step,
+    _rk4_propagator, _rk4_step, _surviving_pair,
 )
 
 from conftest import random_density, random_pure_state
@@ -102,6 +102,8 @@ class TestClosedForm:
                 evolve_single_closed(np.eye(2) / 2, t, kaon)
         with pytest.raises(ValueError, match="finite"):
             evolve_single_closed(np.full((2, 2), math.nan), 0.1, kaon)
+        with pytest.raises(ValueError, match="expected a 2x2 or 4x4 state"):
+            evolve_single_closed(np.eye(3) / 3, 0.1, kaon)
 
     def test_markov_composition(self, kaon, rng):
         rho = embed_surviving(random_density(rng))
@@ -173,7 +175,7 @@ class TestLindbladIntegrator:
         rho = embed_surviving(np.eye(2) / 2)
         with pytest.raises(ValueError):
             lindblad_integrate(rho, 1.0, kaon, dt=-1e-3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="expected a 4x4 or 16x16 state"):
             lindblad_integrate(np.eye(2) / 2, 1.0, kaon)
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="t must be finite"):
@@ -244,6 +246,10 @@ class TestBipartite:
             with pytest.raises(ValueError, match="t must be finite"):
                 evolve_bipartite(singlet_state(), t, kaon)
 
+    def test_wrong_shape_rejected(self, kaon):
+        with pytest.raises(ValueError, match="expected a 16x16 pair state"):
+            evolve_bipartite(np.eye(4) / 4, 1.0, kaon)
+
     def test_matches_kron_of_single_maps(self, kaon, rng):
         # test-local Phi x Phi: phi[a, c, p, r] = Phi(E_pr)[a, c] from the
         # single-particle map on Hermitian combinations of the basis matrices
@@ -305,6 +311,13 @@ class TestBipartite:
 
 
 class TestSinglet:
+    def test_surviving_pair_block(self):
+        surv = _surviving_pair(singlet_state())
+        assert surv.shape == (4, 4)
+        assert np.trace(surv).real == pytest.approx(1.0, abs=1e-14)
+        with pytest.raises(ValueError, match="expected a 16x16 pair state"):
+            _surviving_pair(np.arange(256.0))
+
     def test_trace_one_pure(self):
         psi = singlet_state()
         assert psi.trace == pytest.approx(1.0, abs=1e-14)
@@ -374,6 +387,11 @@ class TestJointProbabilities:
                 joint_probabilities(psi, K0BAR_DIRECTION, bad,
                                     K0BAR_DIRECTION, 0.5, kaon)
 
+    def test_wrong_shape_rejected(self, kaon):
+        with pytest.raises(ValueError, match="expected a 16x16 pair state"):
+            joint_probabilities(np.eye(4) / 4, K0BAR_DIRECTION, 1.0,
+                                K0BAR_DIRECTION, 0.5, kaon)
+
     def test_expectation_matches_effective_operators(self, kaon):
         psi = singlet_state()
         jo = joint_probabilities(psi, K0BAR_DIRECTION, 1.0, K0BAR_DIRECTION,
@@ -399,8 +417,10 @@ class TestDensityMatrix:
             DensityMatrix(np.full((4, 4), math.nan))
 
     def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            DensityMatrix(np.eye(3))
+        for bad in (np.eye(3), np.ones(4)):
+            with pytest.raises(ValueError, match="expected a 2x2 or 4x4 or 16x16 "
+                               "density matrix"):
+                DensityMatrix(bad)
 
     def test_equality_is_identity(self):
         # a generated __eq__ over the numpy entries would raise ValueError
