@@ -10,8 +10,9 @@ verify       cross-check the closed forms against their independent oracles
 
 Times are accepted and reported either in mass-splitting units (dm) or in
 short-lifetime units (tau_s); all internal math runs in dm units.  Each
-subcommand takes only the options it reads.  A JSON config file can supply any
-long option; explicit flags win.
+subcommand takes only the options it reads.  A JSON config file can set any of
+them; argparse reads its values like flags, and explicit flags win.  Bad input
+exits with a one-line error.
 """
 
 from __future__ import annotations
@@ -73,63 +74,51 @@ def _write_csv(path: str | None, header: list[str], columns: list) -> None:
             fh.write(text)
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
+def _config_tokens(path: str, options) -> list[str]:
+    """--key=value tokens for the config keys that name options, dashes or not.
+
+    true becomes a bare switch; false and null are skipped (by `is`: 0 == False).
+    """
     with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise SystemExit("config file must hold a JSON object")
-    return cfg
-
-
-def _merged(args: argparse.Namespace, key: str, default):
-    val = getattr(args, key)
-    if val is not None:
-        return val
-    return args.config_values.get(key.replace("_", "-"),
-                                  args.config_values.get(key, default))
+    tokens = []
+    for key, value in cfg.items():
+        dest = key.replace("-", "_")
+        if dest in options and value is not None and value is not False:
+            flag = "--" + dest.replace("_", "-")
+            tokens.append(flag if value is True else f"{flag}={value}")
+    return tokens
 
 
 def _system_params(args) -> MesonParams:
-    system = _merged(args, "system", None)
-    gs = _merged(args, "gamma_s", None)
-    gl = _merged(args, "gamma_l", None)
-    delta = _merged(args, "delta", None)
+    gs, gl, delta = args.gamma_s, args.gamma_l, args.delta
     if gs is not None or gl is not None:
         if gs is None or gl is None:
             raise SystemExit("custom systems need both --gamma-s and --gamma-l")
-        return MesonParams(gamma_s=float(gs), gamma_l=float(gl),
-                           delta=float(delta or 0.0), label="custom")
+        return MesonParams(gamma_s=gs, gamma_l=gl, delta=delta or 0.0,
+                           label="custom")
     presets = {"kaon": kaon_defaults, "bmeson": bmeson_defaults,
                "stable": stable_defaults}
-    if system is None:
-        system = "kaon"
-    if system not in presets:
-        raise SystemExit(f"unknown preset: {system!r}")
-    params = presets[system]()
+    params = presets[args.system or "kaon"]()
     if delta is not None:
-        params = MesonParams(params.gamma_s, params.gamma_l, float(delta),
-                             params.label)
+        params = MesonParams(params.gamma_s, params.gamma_l, delta, params.label)
     return params
 
 
 def _time_scale(args, params: MesonParams) -> float:
     """Multiplier turning input times into dm units."""
-    unit = _merged(args, "time_unit", "dm")
-    if unit == "dm":
+    if args.time_unit != "tau_s":
         return 1.0
-    if unit == "tau_s":
-        if params.gamma_s == 0.0:
-            raise SystemExit("tau_s units are undefined for a stable system")
-        return 1.0 / params.gamma_s
-    raise SystemExit(f"unknown time unit: {unit!r}")
+    if params.gamma_s == 0.0:
+        raise SystemExit("tau_s units are undefined for a stable system")
+    return 1.0 / params.gamma_s
 
 
 def _grid(args, params, default=(0.0, 6.0, 601)) -> np.ndarray:
-    t_min = float(_merged(args, "t_min", default[0]))
-    t_max = float(_merged(args, "t_max", default[1]))
-    steps = int(_merged(args, "steps", default[2]))
+    t_min, t_max, steps = (d if v is None else v for v, d in
+                           zip((args.t_min, args.t_max, args.steps), default))
     if steps < 2:
         raise SystemExit("need at least 2 grid points")
     if not t_min < t_max:
@@ -139,8 +128,7 @@ def _grid(args, params, default=(0.0, 6.0, 601)) -> np.ndarray:
 
 def _refuse(args, mode: str, *keys: str) -> None:
     """Exit naming the flags among keys given on the command line (not --config)."""
-    given = [f"--{k.replace('_', '-')}" for k in keys
-             if getattr(args, k) is not None]
+    given = [f"--{k.replace('_', '-')}" for k in keys if k in args.given]
     if given:
         raise SystemExit(f"{mode} ignores {', '.join(given)}")
 
@@ -184,10 +172,9 @@ def _bloch_axes(amps, t, params: MesonParams) -> np.ndarray:
 
 
 def cmd_uncertainty(args) -> int:
-    fig = args.fig
-    out = _merged(args, "out", None)
+    fig, out = args.fig, args.out
     if fig is not None:
-        _refuse(args, f"--fig {fig}", *_SYSTEM_KEYS, "obs1", "obs2")
+        _refuse(args, f"--fig {fig}", *_SYSTEM_KEYS, "obs1", "obs2", "scan")
         if fig in ("3a", "3b"):
             return _uncertainty_bipartite_fig(args, fig, out)
         params = stable_defaults() if fig == "1b" else kaon_defaults()
@@ -207,8 +194,9 @@ def cmd_uncertainty(args) -> int:
         q2, t2 = _parse_obs(args.obs2)
         scale = _time_scale(args, params)
         grid = _grid(args, params, (0.0, 6.0, 241))
-        u1 = grid if args.scan in ("obs1", "both") else t1 * scale
-        u2 = grid if args.scan in ("obs2", "both") else t2 * scale
+        scan = args.scan or "obs2"
+        u1 = grid if scan in ("obs1", "both") else t1 * scale
+        u2 = grid if scan in ("obs2", "both") else t2 * scale
         n_1, n_2 = (_bloch_axes(q.state_mass(), u, params)
                     for q, u in ((q1, u1), (q2, u2)))
     bound, best, argmax_j = _bloch_mu_bound(n_1, n_2)
@@ -275,9 +263,9 @@ def _parse_quasispins(text: str) -> tuple[Quasispin, ...]:
 
 def cmd_bell(args) -> int:
     if args.cp_test:
-        _refuse(args, "--cp-test", "fig", "quasispins", "system", "gamma_s",
-                "gamma_l", "t_min", "t_max", "steps", "time_unit", "out")
-        delta = float(_merged(args, "delta", kaon_defaults().delta))
+        _refuse(args, "--cp-test", "fig", "policy", "quasispins", "system",
+                "gamma_s", "gamma_l", "t_min", "t_max", "steps", "time_unit", "out")
+        delta = kaon_defaults().delta if args.delta is None else args.delta
         report = cp_bell_test(delta)
         print(f"delta={delta:.6g}")
         print(f"s_ks={report.s_ks:.11e} violates={report.variant_ks_violates}")
@@ -293,7 +281,7 @@ def cmd_bell(args) -> int:
 
     fig = args.fig
     if fig is not None:
-        _refuse(args, f"--fig {fig}", *_SYSTEM_KEYS)
+        _refuse(args, f"--fig {fig}", *_SYSTEM_KEYS, "policy")
         policy = _POLICY_FOR_FIG[fig]
         if fig == "5a":
             gl = kaon_defaults().gamma_l
@@ -303,14 +291,14 @@ def cmd_bell(args) -> int:
         else:
             params = kaon_defaults()
     else:
-        policy = args.policy
+        policy = args.policy or "alternating-1"
         params = _system_params(args)
     quasispins = _parse_quasispins(args.quasispins) if args.quasispins else \
         (K0BAR_DIRECTION,) * 4
     grid = _grid(args, params, (0.0, 6.0, 601))
     t, lam_min, lam_max, mu = _scan_columns(policy, grid, params, quasispins,
                                             False)
-    _write_csv(_merged(args, "out", None),
+    _write_csv(args.out,
                ["t", "lambda_min", "lambda_max", "summand_mu_bound",
                 "classical_hi", "classical_lo", "tsirelson_hi", "tsirelson_lo"],
                [t * (1.0 / _time_scale(args, params)), lam_min, lam_max, mu,
@@ -382,10 +370,10 @@ def _verify_bloch_vs_eigenvectors(params, rng, trials) -> float:
 
 def cmd_verify(args) -> int:
     params = _system_params(args)
-    trials = int(_merged(args, "trials", 50))
+    trials = 50 if args.trials is None else args.trials
     if trials < 1:
         raise SystemExit("trials must be >= 1")
-    seed = int(_merged(args, "seed", DEFAULT_SEED))
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
     draws = (params, rng, trials)
     checks = (  # (name, tolerance, max deviation); rng is drawn from in this order
@@ -436,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fig", choices=[f for f in FIG_CHOICES if f[0] in "123"])
     p.add_argument("--obs1", help="alpha,phi,t of the first observable")
     p.add_argument("--obs2", help="alpha,phi,t of the second observable")
-    p.add_argument("--scan", choices=("obs1", "obs2", "both"), default="obs2")
+    p.add_argument("--scan", choices=("obs1", "obs2", "both"))
     p.set_defaults(func=cmd_uncertainty)
 
     p = sub.add_parser("times", parents=[system], help="characteristic times")
@@ -446,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="witness eigenvalue scans and CP test")
     p.add_argument("--fig", choices=list(_POLICY_FOR_FIG))
     p.add_argument("--policy", choices=("all-equal", "alternating-1",
-                                        "alternating-2"), default="alternating-1")
+                                        "alternating-2"))
     p.add_argument("--quasispins",
                    help="four settings 'a1,p1;a2,p2;a3,p3;a4,p4' (default all K0bar)")
     p.add_argument("--cp-test", dest="cp_test", action="store_true")
@@ -487,11 +475,21 @@ def _join_negative_floats(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    args = build_parser().parse_args(_join_negative_floats(list(argv)))
-    args.config_values = _load_config(args.config)
-    return args.func(args)
+    parser = build_parser()
+    argv = _join_negative_floats(list(sys.argv[1:] if argv is None else argv))
+    args = parser.parse_args(argv)
+    # every option defaults to None or False, so these are the ones argv set
+    given = {k for k, v in vars(args).items() if v is not None and v is not False}
+    if args.config:  # parse again behind the config's tokens: argv wins
+        options = vars(args).keys() - {"command", "func", "config"}
+        args = parser.parse_args(argv[:1] + _config_tokens(args.config, options)
+                                 + argv[1:])
+    args.given = given
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        print(f"mesonq: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

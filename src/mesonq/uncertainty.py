@@ -60,8 +60,15 @@ def binary_entropy(p: float) -> float:
 def _max_overlap(pair1: EigenPair, pair2: EigenPair) -> tuple[float, tuple]:
     """Largest |<chi_i|chi_j>| between two eigenvector pairs, with its (i, j).
 
-    Ties within 1e-12 resolve to the lowest (i, j) lexicographically.
+    Ties within 1e-12 resolve to the lowest (i, j) lexicographically.  Raises
+    unless both pairs share a basis and every eigenvector is normalized.
     """
+    if pair1.basis != pair2.basis:
+        raise ValueError("eigenvector pairs must share a basis")
+    for pair in (pair1, pair2):
+        for chi in (pair.chi1, pair.chi2):
+            if not abs(np.linalg.norm(chi) - 1.0) <= 1e-10:
+                raise ValueError("eigenvectors must be normalized")
     best, arg = -1.0, (1, 1)
     for i, u in enumerate((pair1.chi1, pair1.chi2), start=1):
         for j, v in enumerate((pair2.chi1, pair2.chi2), start=1):
@@ -81,12 +88,6 @@ def mu_bound(pair1: EigenPair, pair2: EigenPair) -> UncertaintyReport:
 
     Ties in the maximal overlap resolve to the lowest (i, j) lexicographically.
     """
-    if pair1.basis != pair2.basis:
-        raise ValueError("eigenvector pairs must share a basis")
-    for pair in (pair1, pair2):
-        for chi in (pair.chi1, pair.chi2):
-            if not abs(np.linalg.norm(chi) - 1.0) <= 1e-10:
-                raise ValueError("eigenvectors must be normalized")
     return _report(*_max_overlap(pair1, pair2))
 
 

@@ -137,7 +137,8 @@ class TestUncertaintyCommand:
         (["--fig", "2a", "--delta=0.01"], "--delta"),
         (["--fig", "1a", "--obs1", "1.5708,0,0"], "--obs1"),
         (["--fig", "3b", "--system", "kaon", "--obs2", "0,0,0"], "--system, --obs2"),
-    ], ids=["delta", "obs1", "system-obs2"])
+        (["--fig", "1a", "--steps", "3", "--scan", "both"], "--scan"),
+    ], ids=["delta", "obs1", "system-obs2", "scan"])
     def test_fig_refuses_flags_it_ignores(self, argv, flags):
         with pytest.raises(SystemExit, match=f"--fig {argv[1]} ignores {flags}$"):
             main(["uncertainty"] + argv)
@@ -182,14 +183,19 @@ class TestBellCommand:
         (["--cp-test", "--fig", "4a"], "--cp-test", "--fig"),
         (["--cp-test", "--steps", "5", "--out", "x.csv"], "--cp-test",
          "--steps, --out"),
-    ], ids=["fig-preset", "fig-custom", "cp-test-fig", "cp-test-grid"])
+        (["--fig", "4b", "--steps", "3", "--policy", "all-equal"], "--fig 4b",
+         "--policy"),
+        (["--cp-test", "--policy", "all-equal"], "--cp-test", "--policy"),
+    ], ids=["fig-preset", "fig-custom", "cp-test-fig", "cp-test-grid",
+            "fig-policy", "cp-test-policy"])
     def test_preset_refuses_flags_it_ignores(self, argv, mode, flags):
         with pytest.raises(SystemExit, match=f"{mode} ignores {flags}$"):
             main(["bell"] + argv)
 
     def test_fig_reads_quasispins_and_config(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({"system": "bmeson", "delta": 0.2}))
+        cfg.write_text(json.dumps({"system": "bmeson", "delta": 0.2,
+                                   "policy": "all-equal"}))
         a, b, c = (tmp_path / f"{n}.csv" for n in "abc")
         base = ["bell", "--fig", "4b", "--steps", "5"]
         main(base + ["--out", str(a)])
@@ -223,6 +229,24 @@ class TestBellCommand:
                       "--steps", "5", "--t-max", "1", "--out", str(out))
         assert code == 0
         assert len(read_rows(out)) == 5
+
+
+class TestLibraryErrors:
+    @pytest.mark.parametrize("argv,message", [
+        (["uncertainty", "--obs1", "4,0,0", "--obs2", "0,0,0"],
+         "alpha must lie in [0, pi]"),
+        (["bell", "--cp-test", "--delta", "0.5"], "small CP asymmetries"),
+        (["bell", "--steps", "3", "--gamma-s", "nan", "--gamma-l", "1"],
+         "gamma_s must be finite"),
+        (["uncertainty", "--obs1", "1,0,-1", "--obs2", "0,0,0", "--steps", "3"],
+         "detection times t >= 0"),
+    ], ids=["alpha", "cp-delta", "nan-width", "negative-time"])
+    def test_value_error_exits_1_with_one_line(self, capsys, argv, message):
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("mesonq: error: ")
+        assert message in captured.err and captured.err.count("\n") == 1
 
 
 class TestVerify:
@@ -321,6 +345,41 @@ class TestConfigFile:
         out = tmp_path / "o.csv"
         run(capsys, "bell", "--config", str(cfg), "--steps", "4", "--out", str(out))
         assert len(read_rows(out)) == 4
+
+    @pytest.mark.parametrize("config,message", [
+        ({"steps": "abc"}, "argument --steps: invalid int value: 'abc'"),
+        ({"system": "nope"}, "argument --system: invalid choice: 'nope'"),
+    ], ids=["steps", "system"])
+    def test_config_values_checked_like_flags(self, tmp_path, capsys, config,
+                                              message):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        with pytest.raises(SystemExit) as exc:
+            main(["bell", "--fig", "4b", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_config_switch_runs_cp_test(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"cp-test": True}))
+        code, out = run(capsys, "bell", "--config", str(cfg))
+        assert code == 0
+        assert "result: one variant violates" in out
+
+    def test_config_policy_matches_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"policy": "all-equal"}))
+        base = ["bell", "--steps", "5"]
+        _, flag = run(capsys, *base, "--policy", "all-equal")
+        _, config = run(capsys, *base, "--config", str(cfg))
+        _, default = run(capsys, *base)
+        assert config == flag != default
+
+    def test_config_delta_zero_is_a_value(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"delta": 0}))
+        _, out = run(capsys, "bell", "--cp-test", "--config", str(cfg))
+        assert "delta=0\n" in out and "result: no violation" in out
 
 
 class TestGoldenFigures:

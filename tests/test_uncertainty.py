@@ -308,6 +308,24 @@ class TestDeltaForEqualTimes:
 
 
 class TestBipartiteMuBound:
+    @pytest.mark.parametrize("side", ["a", "b"])
+    @pytest.mark.parametrize("case", ["unnormalized", "nan", "mixed-bases"])
+    def test_rejects_what_mu_bound_rejects(self, kaon, case, side):
+        pair = spectral(effective_operator(STRANGENESS, 0.0, kaon))
+        p1, p2, match = {
+            "unnormalized": (EigenPair(lambda1=1.0, chi1=2.0 * pair.chi1,
+                                       lambda2=-1.0, chi2=pair.chi2),
+                             pair, "normalized"),
+            "nan": (pair, EigenPair(lambda1=1.0, chi1=np.full(2, math.nan),
+                                    lambda2=-1.0, chi2=pair.chi2), "normalized"),
+            "mixed-bases": (pair, cp_eigenvectors(STRANGENESS, 0.0, kaon), "basis"),
+        }[case]
+        with pytest.raises(ValueError, match=match):
+            mu_bound(p1, p2)
+        with pytest.raises(ValueError, match=match):
+            bipartite_mu_bound(*((p1, p2, pair, pair) if side == "a"
+                                 else (pair, pair, p1, p2)))
+
     def test_identical_products(self, kaon):
         a = spectral(effective_operator(STRANGENESS, 0.0, kaon))
         b = spectral(effective_operator(STRANGENESS, 1.0, kaon))
