@@ -298,8 +298,9 @@ def sample_witness_max(bell: np.ndarray, n_states: int = 10_000,
     from the best sample, s the largest absolute row sum, which bounds every
     |eigenvalue|.  It converges on the top eigenvalue without an eigensolver,
     so the check stays independent of the eigenvalue routes it tests.  The
-    steps are applied at once as (Bell + s)^refine_steps, by repeated squaring
-    of the 4x4 matrix with rescaling.  bell must be a finite Hermitian 4x4
+    steps are applied as (Bell + s)^refine_steps by right-to-left binary
+    powering: psi takes the rescaled (Bell + s)^(2^k) at each set bit k of
+    refine_steps and is renormalized there.  bell must be a finite Hermitian 4x4
     matrix; n_states >= 1, refine_steps >= 0 and seed are integers.  The
     normalized draw of the last (n_states, seed) is kept, so witnesses sampled
     with one seed share it.
@@ -319,14 +320,13 @@ def sample_witness_max(bell: np.ndarray, n_states: int = 10_000,
     shifted = bell + np.abs(bell).sum(axis=1).max() * np.eye(4)
     if refine_steps == 0 or not shifted.any():  # Bell = -sI: every sample is exact
         return float(values[best])
-    power = np.eye(4)  # each product is divided by its largest entry
-    while refine_steps:
+    psi = z[best]
+    while True:  # squares are rescaled: (Bell + s)^(2^k) would overflow
         if refine_steps & 1:
-            power = power @ shifted
-            power /= np.abs(power).max()
+            psi = shifted @ psi
+            psi /= np.linalg.norm(psi)
         refine_steps >>= 1
+        if not refine_steps:
+            return float(np.vdot(psi, bell @ psi).real)
         shifted = shifted @ shifted
         shifted /= np.abs(shifted).max()
-    psi = power @ z[best]
-    psi /= np.linalg.norm(psi)
-    return float(np.vdot(psi, bell @ psi).real)

@@ -12,7 +12,8 @@ Times are accepted and reported either in mass-splitting units (dm) or in
 short-lifetime units (tau_s); all internal math runs in dm units.  Each
 subcommand takes only the options it reads.  A JSON config file can set any of
 them; argparse reads its values like flags, and explicit flags win.  Bad input
-exits with a one-line error.
+exits with a one-line error: exit 2 for a bad option value or an unreadable
+--config file, exit 1 for a refused flag or a value the library rejects.
 """
 
 from __future__ import annotations
@@ -74,15 +75,21 @@ def _write_csv(path: str | None, header: list[str], columns: list) -> None:
             fh.write(text)
 
 
-def _config_tokens(path: str, options) -> list[str]:
+def _config_tokens(parser, path: str, options) -> list[str]:
     """--key=value tokens for the config keys that name options, dashes or not.
 
     true becomes a bare switch; false and null are skipped (by `is`: 0 == False).
+    A file that cannot be read as a JSON object ends in parser.error (exit 2).
     """
-    with open(path) as fh:
-        cfg = json.load(fh)
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except OSError as exc:
+        parser.error(f"--config {path}: {exc.strerror}")
+    except ValueError as exc:  # invalid JSON or text encoding
+        parser.error(f"--config {path}: {exc}")
     if not isinstance(cfg, dict):
-        raise SystemExit("config file must hold a JSON object")
+        parser.error(f"--config {path}: not a JSON object")
     tokens = []
     for key, value in cfg.items():
         dest = key.replace("-", "_")
@@ -94,6 +101,9 @@ def _config_tokens(path: str, options) -> list[str]:
 
 def _system_params(args) -> MesonParams:
     gs, gl, delta = args.gamma_s, args.gamma_l, args.delta
+    if "system" in args.given:  # a flag wins over widths from --config
+        _refuse(args, "--system", "gamma_s", "gamma_l")
+        gs = gl = None
     if gs is not None or gl is not None:
         if gs is None or gl is None:
             raise SystemExit("custom systems need both --gamma-s and --gamma-l")
@@ -482,8 +492,8 @@ def main(argv=None) -> int:
     given = {k for k, v in vars(args).items() if v is not None and v is not False}
     if args.config:  # parse again behind the config's tokens: argv wins
         options = vars(args).keys() - {"command", "func", "config"}
-        args = parser.parse_args(argv[:1] + _config_tokens(args.config, options)
-                                 + argv[1:])
+        args = parser.parse_args(argv[:1] + _config_tokens(parser, args.config,
+                                                           options) + argv[1:])
     args.given = given
     try:
         return args.func(args)

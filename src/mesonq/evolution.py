@@ -209,20 +209,19 @@ def _rk4_step(lv: np.ndarray, v: np.ndarray, step: float) -> np.ndarray:
 
 
 def _apply_steps(prop: np.ndarray, v: np.ndarray, steps: int) -> np.ndarray:
-    """prop^steps @ v, by binary powering or step by step, whichever is cheaper.
+    """prop^steps @ v by right-to-left binary powering.
 
-    Costs are in multiply-adds of a complex matrix product (~0.2 ns with one
-    BLAS thread; a product call adds ~5 us, a matrix-vector step ~1.8 us).
-    Single states power from ~20 steps on, pair states from ~200 (64-entry
-    block) or ~2,000 steps (the 256 entries of a full 16-dim state).
+    v takes the current power prop^(2^k) at each set bit k of steps, and the
+    power is squared between bits: steps.bit_length() - 1 squarings and one
+    matrix-vector product per set bit.
     """
-    d = v.size
-    products = steps.bit_length() + steps.bit_count() - 2
-    if products * (d**3 + 25_000) < steps * (2 * d**2 + 9_000):
-        return np.linalg.matrix_power(prop, steps) @ v
-    for _ in range(steps):
-        v = prop @ v
-    return v
+    while True:
+        if steps & 1:
+            v = prop @ v
+        steps >>= 1
+        if not steps:
+            return v
+        prop = prop @ prop
 
 
 def lindblad_integrate(rho, t: float, params: MesonParams, dt: float = 1e-3,
@@ -238,9 +237,7 @@ def lindblad_integrate(rho, t: float, params: MesonParams, dt: float = 1e-3,
     The equation is linear, so one RK4 step with step size t / ceil(t / dt) is
     the fixed matrix P = 1 + x + x^2/2 + x^3/6 + x^4/24, x = step * L, acting
     on vec(rho).  P is built only on the entries reachable from the support of
-    rho and applied as P^n, n the step count: by binary powering where that
-    is cheaper than n steps (single states from ~20 steps on), else step by
-    step.
+    rho and applied as P^n, n the step count, by binary powering.
     The step-doubling error estimate (P(step) against two half steps) and the
     trace drift must stay within 1e-6.  Unmeasurable final coherences are
     zeroed on output, matching the closed form.

@@ -174,7 +174,7 @@ class TestSampleWitnessMax:
         with pytest.raises(ValueError, match=match):
             sample_witness_max(b, **args)
 
-    @pytest.mark.parametrize("refine_steps", [1, 2, 3, 300, 301])
+    @pytest.mark.parametrize("refine_steps", [1, 2, 3, 256, 300, 301])
     def test_refinement_matches_literal_loop(self, kaon, refine_steps):
         rng = np.random.default_rng(refine_steps)
         witnesses = verify_witnesses(kaon)

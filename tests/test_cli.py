@@ -69,6 +69,18 @@ class TestConstants:
         assert "delta=0.003322" in out
         assert "gamma_s=2.11111111111e+00" in out
 
+    def test_system_flag_with_widths_refused(self):
+        with pytest.raises(SystemExit, match="^--system ignores --gamma-s, --gamma-l$"):
+            main(["constants", "--system", "bmeson", "--gamma-s", "2",
+                  "--gamma-l", "1"])
+
+    def test_system_flag_wins_over_config_widths(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"gamma-s": 2, "gamma-l": 1}))
+        _, out = run(capsys, "constants", "--system", "bmeson", "--config", str(cfg))
+        assert out.startswith("system=bmeson\n")
+        assert "gamma_s=1.28865979381e+00" in out
+
     def test_bmeson(self, capsys):
         _, out = run(capsys, "constants", "--system", "bmeson")
         assert "gamma_s=1.28865979381e+00" in out
@@ -358,6 +370,25 @@ class TestConfigFile:
             main(["bell", "--fig", "4b", "--config", str(cfg)])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,reason", [
+        (None, "No such file or directory"),
+        ('{"steps": 3,', "Expecting property name enclosed in double quotes"),
+        ("[1]", "not a JSON object"),
+    ], ids=["missing", "invalid-json", "not-an-object"])
+    def test_unreadable_config_exits_2_with_one_line(self, tmp_path, capsys,
+                                                      text, reason):
+        cfg = tmp_path / "run.json"
+        if text is not None:
+            cfg.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main(["bell", "--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        naming = [line for line in err.splitlines() if str(cfg) in line]
+        assert len(naming) == 1
+        assert naming[0].startswith(f"mesonq: error: --config {cfg}: {reason}")
 
     def test_config_switch_runs_cp_test(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

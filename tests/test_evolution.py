@@ -200,9 +200,9 @@ class TestLindbladIntegrator:
             (random_density(rng, 16), 0.05, False),
             (random_density(rng, 16), 0.05, True),
             (np.zeros((4, 4)), 0.1, False),
-            # P^n by binary powering replaces 1,000 to 5,000 steps on the
-            # 16-entry block and 300 on the 16- and 64-entry pair blocks; the
-            # 256-entry block of a full pair state steps at 300, powers at 2,000
+            # P^n by binary powering, 1,000 to 5,000 steps on the 16-entry
+            # block, 300 on the 16- and 64-entry pair blocks and 300 and 2,000
+            # on the 256-entry block of a full pair state
             (random_density(rng, 4), 1.0, False),
             (random_density(rng, 4), 5.0, False),
             (singlet_state().entries, 0.3, False),
@@ -215,6 +215,10 @@ class TestLindbladIntegrator:
             # t = 0: one step of size zero
             (random_density(rng, 4), 0.0, False),
         ]
+        # step counts 1, 2, 127 and 128: one set bit with no squaring, one
+        # squaring before the only product, seven set bits, a lone top bit
+        cases += [(state, t, False) for t in (0.001, 0.002, 0.127, 0.128)
+                  for state in (random_density(rng, 4), surviving_pair_density(rng))]
         for rho, t, summed in cases:
             want = rk4_reference(rho, t, kaon, summed_generator=summed)
             got = lindblad_integrate(rho, t, kaon, summed_generator=summed)
