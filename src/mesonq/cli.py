@@ -19,6 +19,7 @@ exits with a one-line error: exit 2 for a bad option value or an unreadable
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -131,9 +132,15 @@ def _grid(args, params, default=(0.0, 6.0, 601)) -> np.ndarray:
                            zip((args.t_min, args.t_max, args.steps), default))
     if steps < 2:
         raise SystemExit("need at least 2 grid points")
+    scale = _time_scale(args, params)
+    for flag, bound in (("--t-min", t_min), ("--t-max", t_max)):
+        if not math.isfinite(bound):
+            raise ValueError(f"{flag} must be finite, got {bound}")
+        if not math.isfinite(bound * scale):
+            raise ValueError(f"{flag} must be finite in dm units, got {bound} tau_s")
     if not t_min < t_max:
         raise SystemExit("t_min must be below t_max")
-    return np.linspace(t_min, t_max, steps) * _time_scale(args, params)
+    return np.linspace(t_min, t_max, steps) * scale
 
 
 def _refuse(args, mode: str, *keys: str) -> None:
@@ -407,7 +414,13 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The mesonq parser, built once per process and shared by every main call.
+
+    Callers must not add to it.  Each subcommand's func is bound when the
+    parser is first built.
+    """
     parser = argparse.ArgumentParser(
         prog="mesonq",
         description="Effective-operator toolkit for decaying two-state systems")

@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import re
+import warnings
 from pathlib import Path
 
 import pytest
@@ -252,13 +253,26 @@ class TestLibraryErrors:
          "gamma_s must be finite"),
         (["uncertainty", "--obs1", "1,0,-1", "--obs2", "0,0,0", "--steps", "3"],
          "detection times t >= 0"),
-    ], ids=["alpha", "cp-delta", "nan-width", "negative-time"])
+        (["bell", "--steps", "3", "--t-max", "inf"],
+         "--t-max must be finite, got inf"),
+        (["uncertainty", "--fig", "1a", "--steps", "3", "--t-max", "inf"],
+         "--t-max must be finite, got inf"),
+        (["bell", "--steps", "3", "--t-min", "nan", "--t-max", "1"],
+         "--t-min must be finite, got nan"),
+        (["bell", "--steps", "3", "--t-max", "1e308", "--time-unit", "tau_s",
+          "--gamma-s", "1e-10", "--gamma-l", "1e-11"],
+         "--t-max must be finite in dm units, got 1e+308 tau_s"),
+    ], ids=["alpha", "cp-delta", "nan-width", "negative-time", "inf-t-max",
+            "fig-inf-t-max", "nan-t-min", "tau_s-overflow"])
     def test_value_error_exits_1_with_one_line(self, capsys, argv, message):
-        assert main(argv) == 1
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("mesonq: error: ")
         assert message in captured.err and captured.err.count("\n") == 1
+        assert "Warning" not in captured.err and caught == []
 
 
 class TestVerify:
@@ -411,6 +425,45 @@ class TestConfigFile:
         cfg.write_text(json.dumps({"delta": 0}))
         _, out = run(capsys, "bell", "--cp-test", "--config", str(cfg))
         assert "delta=0\n" in out and "result: no violation" in out
+
+
+class TestSharedParser:
+    def test_carries_nothing_between_calls(self, tmp_path, capsys):
+        assert build_parser() is build_parser()
+        bad, good = tmp_path / "bad.json", tmp_path / "good.json"
+        bad.write_text(json.dumps({"steps": "abc"}))
+        good.write_text(json.dumps({"steps": 31}))
+        for argv, code in ((["times", "--steps", "5"], 2),
+                           (["bell", "--fig", "4b", "--config", str(bad)], 2),
+                           (["bell", "--fig", "4b", "--steps", "31",
+                             "--system", "kaon"], "--fig 4b ignores --system")):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == code
+        outs = {name: tmp_path / f"{name}.csv" for name in
+                ("config", "flag", "uncertainty")}
+        assert main(["bell", "--fig", "4b", "--config", str(good),
+                     "--out", str(outs["config"])]) == 0
+        assert main(["bell", "--fig", "4b", "--steps", "31",
+                     "--out", str(outs["flag"])]) == 0
+        assert main(["uncertainty", "--fig", "2a", "--steps", "21",
+                     "--out", str(outs["uncertainty"])]) == 0
+        capsys.readouterr()
+        fig4b = (GOLDEN_DIR / "fig4b_small.csv").read_bytes()
+        assert outs["config"].read_bytes() == outs["flag"].read_bytes() == fig4b
+        assert outs["uncertainty"].read_bytes() == (
+            GOLDEN_DIR / "fig2a_small.csv").read_bytes()
+
+    def test_given_is_per_call(self, tmp_path, capsys):
+        out = tmp_path / "fig4b.csv"
+        with pytest.raises(SystemExit, match="^--fig 4b ignores --system$"):
+            main(["bell", "--fig", "4b", "--system", "kaon"])
+        assert main(["bell", "--fig", "4b", "--steps", "31", "--out", str(out)]) == 0
+        with pytest.raises(SystemExit, match="^--system ignores --gamma-s, --gamma-l$"):
+            main(["constants", "--system", "bmeson", "--gamma-s", "2",
+                  "--gamma-l", "1"])
+        code, text = run(capsys, "constants", "--gamma-s", "2", "--gamma-l", "1")
+        assert code == 0 and text.startswith("system=custom\n")
 
 
 class TestGoldenFigures:
