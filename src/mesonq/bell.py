@@ -282,6 +282,21 @@ def _haar_draw(n_states: int, seed: int) -> np.ndarray:
     return z
 
 
+def _witness_values(z: np.ndarray, bell: np.ndarray) -> np.ndarray:
+    """Re(z^+ Bell z) for each row z of a complex (n, 4) stack, in real arithmetic.
+
+    The float64 view of z has rows (Re z_0, Im z_0, Re z_1, ...), and the
+    real symmetric 8x8 form r with blocks [[Re B, -Im B], [Im B, Re B]]
+    interleaved the same way gives u^T r u = Re(z^+ B z) for B Hermitian.
+    """
+    u = z.view(np.float64)
+    r = np.empty((8, 8))
+    r[0::2, 0::2] = r[1::2, 1::2] = bell.real
+    r[0::2, 1::2] = -bell.imag
+    r[1::2, 0::2] = bell.imag
+    return np.einsum("ij,ij->i", u @ r, u)
+
+
 def _index(name: str, value) -> int:
     try:
         return operator.index(value)
@@ -303,7 +318,8 @@ def sample_witness_max(bell: np.ndarray, n_states: int = 10_000,
     refine_steps and is renormalized there.  bell must be a finite Hermitian 4x4
     matrix; n_states >= 1, refine_steps >= 0 and seed are integers.  The
     normalized draw of the last (n_states, seed) is kept, so witnesses sampled
-    with one seed share it.
+    with one seed share it.  The samples are scored in real arithmetic, as
+    u^T r u over the float64 view u of the draw and an 8x8 real form r of Bell.
     """
     bell = _entries(bell, "witness", (4, 4))
     _require_hermitian(bell)
@@ -315,7 +331,7 @@ def sample_witness_max(bell: np.ndarray, n_states: int = 10_000,
     if refine_steps < 0:
         raise ValueError(f"refine_steps must be nonnegative, got {refine_steps}")
     z = _haar_draw(n_states, seed)
-    values = ((z.conj() @ bell) * z).sum(-1).real
+    values = _witness_values(z, bell)
     best = int(np.argmax(values))
     shifted = bell + np.abs(bell).sum(axis=1).max() * np.eye(4)
     if refine_steps == 0 or not shifted.any():  # Bell = -sI: every sample is exact

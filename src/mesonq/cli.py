@@ -140,6 +140,9 @@ def _grid(args, params, default=(0.0, 6.0, 601)) -> np.ndarray:
             raise ValueError(f"{flag} must be finite in dm units, got {bound} tau_s")
     if not t_min < t_max:
         raise SystemExit("t_min must be below t_max")
+    if not math.isfinite((t_max - t_min) * scale):
+        raise ValueError(f"--t-min/--t-max span must be finite in dm units, "
+                         f"got {t_min} to {t_max}")
     return np.linspace(t_min, t_max, steps) * scale
 
 

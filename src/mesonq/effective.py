@@ -90,9 +90,11 @@ def _propagate(amps, t, params: MesonParams) -> np.ndarray:
         raise ValueError("observables live at detection times t >= 0")
     # numpy's complex exp is libm's exp bit for bit, while its vectorized
     # real exp may differ in the last bit; the products are written out
-    # because its vectorized complex multiply fuses ac - bd
-    e = np.exp(t[..., None]
-               * np.array([-0.5 * params.gamma_s, 1j - 0.5 * params.gamma_l]))
+    # because its vectorized complex multiply fuses ac - bd.  A huge width
+    # overflows the exponent to -inf, whose exp is the right amplitude, 0.
+    with np.errstate(over="ignore"):
+        x = t[..., None] * np.array([-0.5 * params.gamma_s, 1j - 0.5 * params.gamma_l])
+    e = np.exp(x)
     a = np.asarray(amps, dtype=complex)
     w = np.empty(e.shape, dtype=complex)
     w.real = a.real * e.real - a.imag * e.imag

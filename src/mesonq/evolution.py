@@ -11,6 +11,7 @@ independent route to the same dynamics.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -140,13 +141,13 @@ def evolve_bipartite(rho, t: float, params: MesonParams) -> DensityMatrix:
     return DensityMatrix(r.transpose(2, 0, 3, 1).reshape(16, 16))
 
 
-def _generators(params: MesonParams, dim: int, summed: bool):
+def _generators(gamma_s: float, gamma_l: float, dim: int, summed: bool):
     """Hamiltonian and decay generators on the 4- or 16-dim space."""
     h4 = np.zeros((4, 4), dtype=complex)
     h4[1, 1] = 1.0  # mass splitting: m_L - m_S = 1 in rescaled units
     a4 = np.zeros((4, 4), dtype=complex)
-    a4[3, 0] = math.sqrt(params.gamma_s)  # K_S decays into the f_S slot
-    a4[2, 1] = math.sqrt(params.gamma_l)  # K_L decays into the f_L slot
+    a4[3, 0] = math.sqrt(gamma_s)  # K_S decays into the f_S slot
+    a4[2, 1] = math.sqrt(gamma_l)  # K_L decays into the f_L slot
     if dim == 4:
         return h4, [a4]
     i4 = np.eye(4, dtype=complex)
@@ -186,6 +187,26 @@ def _liouvillian(g: np.ndarray, gens, idx: np.ndarray) -> np.ndarray:
     for a in gens:
         lv += kron(a, a.conj())
     return lv
+
+
+@functools.lru_cache(maxsize=8)
+def _liouvillian_block(gamma_s: float, gamma_l: float, dim: int, summed: bool,
+                       support: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Reachable entries and their Liouvillian block, read-only.
+
+    `support` is the bytes of the boolean nonzero pattern of a dim x dim
+    state.  The block depends only on the widths, the dimension, the
+    generator variant and that pattern (delta does not enter the
+    generators), so states that share them share one block.
+    """
+    h, gens = _generators(gamma_s, gamma_l, dim, summed)
+    g = -1j * h - 0.5 * sum(a.conj().T @ a for a in gens)
+    nonzero = np.frombuffer(support, dtype=bool).reshape(dim, dim)
+    reach = np.flatnonzero(_reachable(g, gens, nonzero))
+    lv = _liouvillian(g, gens, reach)
+    reach.setflags(write=False)
+    lv.setflags(write=False)
+    return reach, lv
 
 
 def _rk4_propagator(x: np.ndarray) -> np.ndarray:
@@ -237,7 +258,10 @@ def lindblad_integrate(rho, t: float, params: MesonParams, dt: float = 1e-3,
     The equation is linear, so one RK4 step with step size t / ceil(t / dt) is
     the fixed matrix P = 1 + x + x^2/2 + x^3/6 + x^4/24, x = step * L, acting
     on vec(rho).  P is built only on the entries reachable from the support of
-    rho and applied as P^n, n the step count, by binary powering.
+    rho and applied as P^n, n the step count, by binary powering.  The
+    reachable entries and their block of L are built once per (widths,
+    dimension, generator variant, support) and kept for the last 8 such keys;
+    P and everything after it are computed on every call.
     The step-doubling error estimate (P(step) against two half steps) and the
     trace drift must stay within 1e-6.  Unmeasurable final coherences are
     zeroed on output, matching the closed form.
@@ -249,10 +273,8 @@ def lindblad_integrate(rho, t: float, params: MesonParams, dt: float = 1e-3,
         raise ValueError("integration runs forward in time only")
     m = _entries(rho, "state", (4, 4), (16, 16))
     dim = m.shape[0]
-    h, gens = _generators(params, dim, summed_generator)
-    g = -1j * h - 0.5 * sum(a.conj().T @ a for a in gens)
-    reach = np.flatnonzero(_reachable(g, gens, m != 0))
-    lv = _liouvillian(g, gens, reach)
+    reach, lv = _liouvillian_block(params.gamma_s, params.gamma_l, dim,
+                                   summed_generator, (m != 0).tobytes())
     v0 = m.reshape(-1)[reach]
 
     steps = max(1, math.ceil(t / dt))

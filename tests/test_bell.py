@@ -235,6 +235,24 @@ class TestHaarDrawCache:
             assert abs(sample_witness_max(b, 10_000, seed=11) - want.max()) <= 2e-15
 
 
+class TestWitnessValues:
+    def test_real_form_matches_complex_form(self, kaon):
+        rng = np.random.default_rng(3)
+        witnesses = verify_witnesses(kaon)
+        for _ in range(4):
+            a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            h = a + a.conj().T
+            witnesses.append(4.0 * h / np.linalg.norm(h))
+        # their imaginary parts exercise the -Im B and Im B blocks of the form
+        assert all(np.abs(b.imag).max() > 0.1 for b in witnesses[-4:])
+        for seed, b in enumerate(witnesses):
+            z = mesonq.bell._haar_draw(10_000, seed)
+            want = ((z.conj() @ b) * z).sum(-1).real
+            got = mesonq.bell._witness_values(z, b)
+            assert np.abs(got - want).max() <= 2e-15
+            assert np.argmax(got) == np.argmax(want)
+
+
 class TestChshValue:
     def test_identical_settings_saturate_classical(self, kaon):
         v = chsh_value(strangeness_setting(0.0, 0.0, 0.0, 0.0), singlet4(), kaon)

@@ -262,8 +262,10 @@ class TestLibraryErrors:
         (["bell", "--steps", "3", "--t-max", "1e308", "--time-unit", "tau_s",
           "--gamma-s", "1e-10", "--gamma-l", "1e-11"],
          "--t-max must be finite in dm units, got 1e+308 tau_s"),
+        (["bell", "--steps", "3", "--t-min", "-1e308", "--t-max", "1e308"],
+         "--t-min/--t-max span must be finite in dm units"),
     ], ids=["alpha", "cp-delta", "nan-width", "negative-time", "inf-t-max",
-            "fig-inf-t-max", "nan-t-min", "tau_s-overflow"])
+            "fig-inf-t-max", "nan-t-min", "tau_s-overflow", "span-overflow"])
     def test_value_error_exits_1_with_one_line(self, capsys, argv, message):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

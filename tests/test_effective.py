@@ -258,6 +258,16 @@ class TestPropagate:
                     scalar = _propagate(amps, float(times[idx]), params)
                     assert np.array_equal(w[idx], scalar)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_width_gives_zero_amplitude_silently(self, rng):
+        # gamma_s * t overflows to -inf; exp(-inf) = 0 is the right amplitude
+        params = MesonParams(gamma_s=1e308, gamma_l=1.0)
+        q = Quasispin(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
+        amps = q.state_mass()
+        w = _propagate(amps, np.array([6.0]), params)
+        assert np.array_equal(w[0], _propagate(amps, 6.0, params))
+        assert w[0, 0] == 0.0 and w[0, 1] != 0.0
+
     def test_array_times_validated(self, kaon):
         amps = KS_DIRECTION.state_mass()
         for bad in (math.nan, math.inf):

@@ -8,10 +8,10 @@ from mesonq import (
     effective_operator, evolve_bipartite, evolve_single_closed,
     joint_probabilities, lindblad_integrate, singlet_state,
 )
-from mesonq.core import mass_to_strangeness_matrix
+from mesonq.core import MesonParams, mass_to_strangeness_matrix
 from mesonq.evolution import (
     DensityMatrix, embed_surviving, pure_density, singlet_vector,
-    _rk4_propagator, _rk4_step, _surviving_pair,
+    _liouvillian_block, _rk4_propagator, _rk4_step, _surviving_pair,
 )
 
 from conftest import random_density, random_pure_state
@@ -234,6 +234,52 @@ class TestLindbladIntegrator:
         a = evolve_bipartite(rho16, 0.3, kaon).entries
         b = lindblad_integrate(rho16, 0.3, kaon).entries
         assert np.abs(a - b).max() < 1e-8
+
+
+class TestLiouvillianBlockCache:
+    def test_warm_calls_equal_cold_calls(self, kaon, rng):
+        cases = [(embed_surviving(random_density(rng)), 0.3, False),
+                 (surviving_pair_density(rng), 0.1, False),
+                 (random_density(rng, 16), 0.05, False),
+                 (surviving_pair_density(rng), 0.1, True)]
+        for rho, t, summed in cases:
+            _liouvillian_block.cache_clear()
+            cold = lindblad_integrate(rho, t, kaon, summed_generator=summed).entries
+            warm = lindblad_integrate(rho, t, kaon, summed_generator=summed).entries
+            assert _liouvillian_block.cache_info().hits == 1
+            assert np.array_equal(cold, warm)
+
+    def test_block_is_read_only(self, kaon, rng):
+        rho = surviving_pair_density(rng)
+        reach, lv = _liouvillian_block(kaon.gamma_s, kaon.gamma_l, 16, False,
+                                       (rho != 0).tobytes())
+        with pytest.raises(ValueError):
+            reach[0] = 1
+        with pytest.raises(ValueError):
+            lv[0, 0] = 0.0
+
+    def test_each_key_gets_its_own_block(self, kaon, bmeson, rng):
+        single = embed_surviving(random_density(rng))
+        pair = surviving_pair_density(rng)
+        cases = [(single, kaon, False), (random_density(rng, 4), kaon, False),
+                 (pair, kaon, False), (pair, kaon, True), (pair, bmeson, False)]
+        _liouvillian_block.cache_clear()
+        for k, (rho, params, summed) in enumerate(cases, start=1):
+            got = lindblad_integrate(rho, 0.1, params, summed_generator=summed)
+            assert _liouvillian_block.cache_info().misses == k
+            want = rk4_reference(rho, 0.1, params, summed_generator=summed)
+            assert np.abs(got.entries - want).max() < 1e-12
+        assert _liouvillian_block.cache_info().hits == 0
+
+    def test_delta_shares_the_block(self, kaon, rng):
+        rho = embed_surviving(random_density(rng))
+        tilted = MesonParams(kaon.gamma_s, kaon.gamma_l, delta=3.3e-3)
+        _liouvillian_block.cache_clear()
+        a = lindblad_integrate(rho, 0.5, kaon).entries
+        b = lindblad_integrate(rho, 0.5, tilted).entries
+        info = _liouvillian_block.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert np.array_equal(a, b)
 
 
 class TestBipartite:
