@@ -2,7 +2,7 @@
 
 from .core import (
     CpBasisData, MesonParams, Quasispin,
-    K0BAR_DIRECTION, K0_DIRECTION, KL_DIRECTION, KS_DIRECTION,
+    K0BAR_DIRECTION, KL_DIRECTION, KS_DIRECTION,
     bmeson_defaults, cp_basis_data, hermitian_eigen, kaon_defaults,
     stable_defaults,
 )
@@ -13,12 +13,11 @@ from .effective import (
 )
 from .evolution import (
     DensityMatrix, JointOutcome, evolve_bipartite, evolve_single_closed,
-    joint_probabilities, lindblad_integrate, singlet_state,
+    joint_probabilities, lindblad_integrate, singlet_state, surviving_pair,
 )
 from .uncertainty import (
-    UncertaintyReport, binary_entropy, bipartite_mu_bound, complementary_time,
-    cp_overlap_ks, delta_for_equal_times, eigen_overlap, misid_time, mu_bound,
-    robertson_check,
+    UncertaintyReport, bipartite_mu_bound, bloch_mu_bound, complementary_time,
+    cp_overlap_ks, delta_for_equal_times, misid_time, mu_bound, robertson_check,
 )
 from .bell import (
     BellReport, BellSetting, ChshValue, CpBellReport, bell_bounds,

@@ -29,12 +29,12 @@ from .effective import (
     _amplitudes, _checked_bloch, _kron, _pair_expectation, _propagate, _rank_one,
     effective_operator,  # noqa: F401 (bench/selftest.py traces this binding)
 )
-from .evolution import _surviving_pair, singlet_state
-from .uncertainty import _bloch_mu_bound
+from .evolution import singlet_state, surviving_pair
+from .uncertainty import bloch_mu_bound
 
 __all__ = [
     "DEFAULT_SEED", "CLASSICAL_BOUND", "TSIRELSON_BOUND",
-    "BellSetting", "BellReport", "ChshValue", "CpBellReport", "ScanRow",
+    "BellSetting", "BellReport", "ChshValue", "CpBellReport",
     "bell_operator", "bell_bounds", "chsh_value", "cp_bell_test",
     "scan_bell", "sample_witness_max", "TIME_POLICIES",
 ]
@@ -107,11 +107,11 @@ def bell_operator(s: BellSetting, params: MesonParams) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BellReport:
-    """Extremal witness eigenvalues plus the summand uncertainty bound."""
+    """Extremal witness eigenvalues and summand bound: floats, or a scan's columns."""
 
-    lambda_min: float
-    lambda_max: float
-    summand_mu_bound: float
+    lambda_min: float | np.ndarray
+    lambda_max: float | np.ndarray
+    summand_mu_bound: float | np.ndarray
     classical_bound: float = CLASSICAL_BOUND
     tsirelson: float = TSIRELSON_BOUND
 
@@ -128,7 +128,7 @@ def _summand_bound(n_n: np.ndarray, n_np: np.ndarray, n_m: np.ndarray,
     """
     b = np.array([n_m - n_mp, n_m + n_mp])
     gap = 2.0 * np.linalg.norm(b, axis=-1).min(axis=0)
-    bound = _bloch_mu_bound(np.array([n_n, b[0]]), np.array([n_np, b[1]]))[0]
+    bound = bloch_mu_bound(np.array([n_n, b[0]]), np.array([n_np, b[1]]))[0]
     return np.where(gap <= _SUMMAND_GAP_TOL, 0.0, bound.sum(axis=0))
 
 
@@ -216,7 +216,7 @@ def cp_bell_test(delta: float) -> CpBellReport:
         raise ValueError("test is meant for small CP asymmetries, |delta| < 0.1")
     cp = cp_basis_data(delta)
     # (|01> - |10>)/sqrt(2) keeps its form in every basis, strangeness included
-    singlet = _surviving_pair(singlet_state())
+    singlet = surviving_pair(singlet_state())
 
     def run(first_state):
         ops = _rank_one(np.array([first_state, k0bar_state(), k1_state(), k1_state()]))
@@ -233,39 +233,29 @@ def cp_bell_test(delta: float) -> CpBellReport:
         s_ks=s_ks, s_kl=s_kl, lambda_max_ks=lam_ks, lambda_max_kl=lam_kl)
 
 
-@dataclass(frozen=True)
-class ScanRow:
-    t: float
-    lambda_min: float
-    lambda_max: float
-    summand_mu_bound: float
+def scan_bell(policy: str, t_grid, params: MesonParams,
+              quasispins: tuple[Quasispin, Quasispin, Quasispin, Quasispin]
+              = (K0BAR_DIRECTION,) * 4,
+              cp_mode: bool = False) -> BellReport:
+    """Witness bounds along a time grid under one of the detection-time policies.
 
-
-def _scan_columns(policy: str, t_grid, params: MesonParams, quasispins,
-                  cp_mode: bool) -> tuple[np.ndarray, ...]:
-    """The columns t, lambda_min, lambda_max, summand_mu_bound of scan_bell."""
+    The policy turns the grid into an (n, 4) array of detection times, and
+    the witness is solved once for the whole grid, not point by point.  The
+    report's fields are float arrays, one entry per grid time.
+    """
     if policy not in TIME_POLICIES:
         raise ValueError(f"unknown time policy: {policy!r}")
+    if len(quasispins) != 4:
+        raise ValueError(f"need four quasispins, got {len(quasispins)}")
     grid = np.array(list(t_grid), dtype=float)
+    if grid.ndim != 1:
+        raise ValueError("time grid must be one-dimensional")
     if grid.size == 0:
         raise ValueError("empty time grid")
     if (np.diff(grid) < 0.0).any():
         raise ValueError("time grid must be sorted ascending")
     times = np.stack(np.broadcast_arrays(*TIME_POLICIES[policy](grid)), axis=-1)
-    return (grid, *_bell_rows(times, quasispins, params, cp_mode))
-
-
-def scan_bell(policy: str, t_grid, params: MesonParams,
-              quasispins: tuple[Quasispin, Quasispin, Quasispin, Quasispin]
-              = (K0BAR_DIRECTION,) * 4,
-              cp_mode: bool = False) -> list[ScanRow]:
-    """Witness bounds along a time grid under one of the detection-time policies.
-
-    The policy turns the grid into an (n, 4) array of detection times, and
-    the witness is solved once for the whole grid, not point by point.
-    """
-    columns = _scan_columns(policy, t_grid, params, quasispins, cp_mode)
-    return [ScanRow(*row) for row in zip(*(c.tolist() for c in columns))]
+    return BellReport(*_bell_rows(times, quasispins, params, cp_mode))
 
 
 @functools.lru_cache(maxsize=1)
@@ -316,7 +306,7 @@ def sample_witness_max(bell: np.ndarray, n_states: int = 10_000,
     steps are applied as (Bell + s)^refine_steps by right-to-left binary
     powering: psi takes the rescaled (Bell + s)^(2^k) at each set bit k of
     refine_steps and is renormalized there.  bell must be a finite Hermitian 4x4
-    matrix; n_states >= 1, refine_steps >= 0 and seed are integers.  The
+    matrix; n_states >= 1, refine_steps >= 0 and seed >= 0 are integers.  The
     normalized draw of the last (n_states, seed) is kept, so witnesses sampled
     with one seed share it.  The samples are scored in real arithmetic, as
     u^T r u over the float64 view u of the draw and an 8x8 real form r of Bell.
@@ -328,8 +318,9 @@ def sample_witness_max(bell: np.ndarray, n_states: int = 10_000,
     seed = _index("seed", seed)
     if n_states < 1:
         raise ValueError(f"n_states must be at least 1, got {n_states}")
-    if refine_steps < 0:
-        raise ValueError(f"refine_steps must be nonnegative, got {refine_steps}")
+    for name, value in (("refine_steps", refine_steps), ("seed", seed)):
+        if value < 0:
+            raise ValueError(f"{name} must be nonnegative, got {value}")
     z = _haar_draw(n_states, seed)
     values = _witness_values(z, bell)
     best = int(np.argmax(values))

@@ -31,21 +31,21 @@ from .core import (
     bmeson_defaults, kaon_defaults, stable_defaults,
 )
 from .effective import (
-    bipartite_expectation, effective_operator, effective_operator_cp,
-    eigenpair_from_matrix, _amplitudes, _checked_bloch, _propagate, _rank_one,
+    bipartite_expectation, bloch_vector, effective_operator,
+    effective_operator_cp, eigenpair_from_matrix,
 )
 from .evolution import (
     embed_surviving, evolve_bipartite, evolve_single_closed,
     joint_probabilities, lindblad_integrate, pure_density, singlet_state,
-    _surviving_pair,
+    surviving_pair,
 )
 from .uncertainty import (
-    complementary_time, delta_for_equal_times, misid_time, mu_bound,
-    _bloch_mu_bound,
+    bloch_mu_bound, complementary_time, delta_for_equal_times, misid_time,
+    mu_bound,
 )
 from .bell import (
     CLASSICAL_BOUND, DEFAULT_SEED, TSIRELSON_BOUND, BellSetting, bell_bounds,
-    bell_operator, cp_bell_test, sample_witness_max, _scan_columns,
+    bell_operator, cp_bell_test, sample_witness_max, scan_bell,
 )
 
 FIG_CHOICES = ("1a", "1b", "2a", "2b", "2c", "2d", "3a", "3b",
@@ -185,12 +185,6 @@ _CP_QUESTIONS = {"2a": (KS_DIRECTION, KS_DIRECTION), "2b": (KL_DIRECTION, KS_DIR
                  "2c": (KS_DIRECTION, KL_DIRECTION), "2d": (KL_DIRECTION, KL_DIRECTION)}
 
 
-def _bloch_axes(amps, t, params: MesonParams) -> np.ndarray:
-    """Checked Bloch vectors of the effective observables of amps at times t."""
-    w = _propagate(amps, t, params)
-    return _checked_bloch(w, _rank_one(w))
-
-
 def cmd_uncertainty(args) -> int:
     fig, out = args.fig, args.out
     if fig is not None:
@@ -199,13 +193,13 @@ def cmd_uncertainty(args) -> int:
             return _uncertainty_bipartite_fig(args, fig, out)
         params = stable_defaults() if fig == "1b" else kaon_defaults()
         cp = fig not in ("1a", "1b")
-        questions = _CP_QUESTIONS[fig] if cp else (Quasispin(0.5 * math.pi, 0.0),) * 2
+        fixed, scanned = _CP_QUESTIONS[fig] if cp else (Quasispin(0.5 * math.pi, 0.0),) * 2
         grid = _grid(args, params, (0.0, 8.0, 401) if cp else (0.0, 2.0 * math.pi, 201))
-        fixed, scanned = (_amplitudes(q, params, cp) for q in questions)
         if fig in ("2a", "2b") and params.delta != 0.0:
             # include the exact complementary-time row, where the bound peaks
             grid = np.array(sorted(set(grid) | {complementary_time(params)}))
-        n_1, n_2 = _bloch_axes(scanned, grid, params), _bloch_axes(fixed, 0.0, params)
+        n_1, n_2 = (bloch_vector(scanned, grid, params, cp),
+                    bloch_vector(fixed, 0.0, params, cp))
     else:
         params = _system_params(args)
         if args.obs1 is None or args.obs2 is None:
@@ -217,9 +211,8 @@ def cmd_uncertainty(args) -> int:
         scan = args.scan or "obs2"
         u1 = grid if scan in ("obs1", "both") else t1 * scale
         u2 = grid if scan in ("obs2", "both") else t2 * scale
-        n_1, n_2 = (_bloch_axes(q.state_mass(), u, params)
-                    for q, u in ((q1, u1), (q2, u2)))
-    bound, best, argmax_j = _bloch_mu_bound(n_1, n_2)
+        n_1, n_2 = bloch_vector(q1, u1, params), bloch_vector(q2, u2, params)
+    bound, best, argmax_j = bloch_mu_bound(n_1, n_2)
     _write_csv(out, ["t", "bound", "max_overlap", "argmax_i", "argmax_j"],
                [grid * (1.0 / _time_scale(args, params)), bound, best, 1, argmax_j])
     return 0
@@ -227,19 +220,19 @@ def cmd_uncertainty(args) -> int:
 
 def _uncertainty_bipartite_fig(args, fig: str, out) -> int:
     params = kaon_defaults()
-    amps = Quasispin(0.5 * math.pi, 0.0).state_mass()
+    q = Quasispin(0.5 * math.pi, 0.0)
     grid = _grid(args, params, (0.0, 4.0, 201))
     unit = 1.0 / _time_scale(args, params)
     # t1 = 0.25 j t for j = 0..4: exactly 0 at j = 0 and exactly t at j = 4
     t1 = 0.25 * np.arange(5) * grid[:, None]
-    n_0 = _bloch_axes(amps, 0.0, params)
-    n_t = _bloch_axes(amps, grid, params)[:, None]
-    n_t1 = _bloch_axes(amps, t1, params)
+    n_0 = bloch_vector(q, 0.0, params)
+    n_t = bloch_vector(q, grid, params)[:, None]
+    n_t1 = bloch_vector(q, t1, params)
     # product eigenbases: the bound is the sum of the one-sided bounds, the
     # overlap the product of the one-sided maxima, argmax the digits 1 j_a 1 j_b
     sides = ((n_0, n_t1), (n_t, n_0)) if fig == "3a" else ((n_0, n_0), (n_t, n_t1))
     (bound_a, best_a, j_a), (bound_b, best_b, j_b) = (
-        _bloch_mu_bound(*side) for side in sides)
+        bloch_mu_bound(*side) for side in sides)
     bound, best, argmax = (np.broadcast_to(x, t1.shape).ravel() for x in (
         bound_a + bound_b, best_a * best_b, 1010 + 100 * j_a + j_b))
     _write_csv(out, ["t", "t1", "bound", "max_overlap", "argmax"],
@@ -316,12 +309,12 @@ def cmd_bell(args) -> int:
     quasispins = _parse_quasispins(args.quasispins) if args.quasispins else \
         (K0BAR_DIRECTION,) * 4
     grid = _grid(args, params, (0.0, 6.0, 601))
-    t, lam_min, lam_max, mu = _scan_columns(policy, grid, params, quasispins,
-                                            False)
+    report = scan_bell(policy, grid, params, quasispins)
     _write_csv(args.out,
                ["t", "lambda_min", "lambda_max", "summand_mu_bound",
                 "classical_hi", "classical_lo", "tsirelson_hi", "tsirelson_lo"],
-               [t * (1.0 / _time_scale(args, params)), lam_min, lam_max, mu,
+               [grid * (1.0 / _time_scale(args, params)), report.lambda_min,
+                report.lambda_max, report.summand_mu_bound,
                 CLASSICAL_BOUND, -CLASSICAL_BOUND, TSIRELSON_BOUND,
                 -TSIRELSON_BOUND])
     return 0
@@ -342,7 +335,7 @@ def _verify_closed_vs_integrator(params, rng, trials) -> float:
 
 def _verify_effective_vs_joint(params, rng, trials) -> float:
     psi_m = singlet_state()
-    surv = _surviving_pair(psi_m)
+    surv = surviving_pair(psi_m)
     worst = 0.0
     for _ in range(trials):
         q_n = Quasispin(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
@@ -381,7 +374,7 @@ def _verify_bloch_vs_eigenvectors(params, rng, trials) -> float:
             o_a, o_b = (build(Quasispin(rng.uniform(0, math.pi),
                                         rng.uniform(0, 2 * math.pi)),
                               rng.uniform(0.0, 2.0), params) for _ in range(2))
-            bound, best, _ = _bloch_mu_bound(o_a.bloch, o_b.bloch)
+            bound, best, _ = bloch_mu_bound(o_a.bloch, o_b.bloch)
             rep = mu_bound(*(eigenpair_from_matrix(o.matrix, o.basis)
                              for o in (o_a, o_b)))
             worst = max(worst, abs(bound - rep.bound), abs(best - rep.max_overlap))
@@ -394,6 +387,8 @@ def cmd_verify(args) -> int:
     if trials < 1:
         raise SystemExit("trials must be >= 1")
     seed = DEFAULT_SEED if args.seed is None else args.seed
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
     rng = np.random.default_rng(seed)
     draws = (params, rng, trials)
     checks = (  # (name, tolerance, max deviation); rng is drawn from in this order

@@ -18,10 +18,10 @@ import numpy as np
 __all__ = [
     "PAULI_X", "PAULI_Y", "PAULI_Z", "ID2", "PAULI",
     "MesonParams", "kaon_defaults", "bmeson_defaults", "stable_defaults",
-    "Quasispin", "KS_DIRECTION", "KL_DIRECTION", "K0_DIRECTION", "K0BAR_DIRECTION",
+    "Quasispin", "KS_DIRECTION", "KL_DIRECTION", "K0BAR_DIRECTION",
     "hermitian_eigen",
     "CpBasisData", "cp_basis_data",
-    "k0_state", "k0bar_state", "k1_state", "k2_state", "ks_state", "kl_state",
+    "k0bar_state", "k1_state", "k2_state", "ks_state", "kl_state",
     "mass_to_strangeness_matrix", "CP_TO_STRANGENESS",
 ]
 
@@ -164,7 +164,6 @@ class Quasispin:
 
 KS_DIRECTION = Quasispin(0.0, 0.0)
 KL_DIRECTION = Quasispin(math.pi, 0.0)
-K0_DIRECTION = Quasispin(0.5 * math.pi, 0.0)
 K0BAR_DIRECTION = Quasispin(0.5 * math.pi, math.pi)
 
 
@@ -215,10 +214,6 @@ def cp_basis_data(delta: float) -> CpBasisData:
     return CpBasisData(p=complex(p), q=complex(q),
                        norm_n=math.sqrt(abs(p) ** 2 + abs(q) ** 2),
                        epsilon=complex(eps), delta=delta)
-
-
-def k0_state() -> np.ndarray:
-    return np.array([1.0, 0.0], dtype=complex)
 
 
 def k0bar_state() -> np.ndarray:

@@ -45,10 +45,9 @@ _PAULI_STACK = np.array(PAULI)
 
 @dataclass(frozen=True, eq=False)
 class ObservableMatrix:
-    """Effective observable -n0*1 + bloch.sigma = 2|w><w| - 1, w = amplitudes."""
+    """Effective observable 2|w><w| - 1 = -n0*1 + bloch.sigma, n0 = 1 - |bloch|."""
 
     matrix: np.ndarray
-    n0: float
     bloch: np.ndarray
     amplitudes: np.ndarray
     quasispin: Quasispin
@@ -113,9 +112,11 @@ def _rank_one(w: np.ndarray) -> np.ndarray:
 
 def _bloch(w: np.ndarray) -> tuple[float, np.ndarray]:
     """Bloch data (n0, n) of 2|w><w| - 1, on the last axis of w; |n| = |w|^2."""
-    w_s, w_l = w.T
-    c = 2.0 * w_s.conjugate() * w_l
-    a_s, a_l = abs(w_s) ** 2, abs(w_l) ** 2
+    # array loops also for one w: numpy's scalar abs and complex multiply may
+    # differ from them in the last bit, and a float time must give the bits
+    # of its grid row
+    a_s, a_l = (np.abs(w) ** 2).T
+    c = (2.0 * w[..., :1].conjugate() * w[..., 1:]).T[0]
     return (1.0 - (a_s + a_l)).T, np.array([c.real, c.imag, a_s - a_l]).T
 
 
@@ -148,28 +149,30 @@ def _pair(w: np.ndarray, basis: str) -> EigenPair:
                      chi2=chi2 / norm, basis=basis)
 
 
-def bloch_vector(q: Quasispin, t: float, params: MesonParams) -> tuple[float, np.ndarray]:
-    """Bloch data (n0, n) of the effective observable, t >= 0.
-
-    Read off the propagated amplitudes; in closed form
-    n = e^{-Gamma t} (cos(t+phi) sin a, sin(t+phi) sin a,
-                      sinh(dGamma t) + cosh(dGamma t) cos a)
-    and n0 = 1 - |n|, with |n| <= 1.
-    """
-    return _bloch(_propagate(q.state_mass(), t, params))
-
-
 def _amplitudes(q: Quasispin, params: MesonParams, cp_corrected: bool):
     """Amplitudes of q over (K_S, K_L): mass basis, or the CP overlaps <K_i|k>."""
     return cp_weights(q, params)[:2] if cp_corrected else q.state_mass()
+
+
+def bloch_vector(q: Quasispin, t: float | np.ndarray, params: MesonParams,
+                 cp_corrected: bool = False) -> np.ndarray:
+    """Checked Bloch vectors n of the effective observables of q at times t >= 0.
+
+    t is a float or an array of times, and n has shape t.shape + (3,).  Mass
+    basis, or with cp_corrected the observable of effective_operator_cp.  In
+    closed form, in the mass basis,
+    n = e^{-Gamma t} (cos(t+phi) sin a, sin(t+phi) sin a,
+                      sinh(dGamma t) + cosh(dGamma t) cos a), |n| <= 1.
+    """
+    w = _propagate(_amplitudes(q, params, cp_corrected), t, params)
+    return _checked_bloch(w, _rank_one(w))
 
 
 def _observable(q: Quasispin, t: float, params: MesonParams,
                 cp_corrected: bool) -> ObservableMatrix:
     """2|w><w| - 1 of the amplitudes of q propagated to t, with its Bloch data."""
     w = _propagate(_amplitudes(q, params, cp_corrected), t, params)
-    n0, n = _bloch(w)
-    return ObservableMatrix(matrix=_rank_one(w), n0=n0, bloch=n, amplitudes=w,
+    return ObservableMatrix(matrix=_rank_one(w), bloch=_bloch(w)[1], amplitudes=w,
                             quasispin=q, time=t, params=params,
                             cp_corrected=cp_corrected,
                             basis="cp" if cp_corrected else "mass")

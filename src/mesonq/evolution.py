@@ -23,7 +23,7 @@ __all__ = [
     "DensityMatrix", "JointOutcome",
     "pure_density", "embed_surviving", "quasispin_projector4",
     "evolve_single_closed", "lindblad_integrate", "evolve_bipartite",
-    "singlet_state", "singlet_vector", "joint_probabilities",
+    "singlet_state", "singlet_vector", "surviving_pair", "joint_probabilities",
 ]
 
 _HERM_TOL = 1e-12
@@ -65,7 +65,7 @@ class DensityMatrix:
         if self.dim == 4:
             m = m[:2, :2]
         elif self.dim == 16:
-            m = _surviving_pair(m)
+            m = surviving_pair(m)
         return float(np.trace(m).real)
 
 
@@ -316,7 +316,7 @@ def singlet_state() -> DensityMatrix:
     return pure_density(singlet_vector())
 
 
-def _surviving_pair(rho) -> np.ndarray:
+def surviving_pair(rho) -> np.ndarray:
     """Surviving x surviving 4x4 block of a 16-dim pair state."""
     m = _entries(rho, "pair state", (16, 16))
     return m.reshape(4, 4, 4, 4)[:2, :2, :2, :2].reshape(4, 4)

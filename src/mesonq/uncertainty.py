@@ -7,7 +7,7 @@ eigenvectors carry the time evolution, so the bound directly quantifies the
 information lost between measurements at different times.
 
 Every effective observable is -n0*1 + n.sigma with eigenvectors at +-n^, so
-the largest squared overlap of two is (1 + |n^_A.n^_B|)/2: _bloch_mu_bound
+the largest squared overlap of two is (1 + |n^_A.n^_B|)/2: bloch_mu_bound
 gets the bound from stacks of Bloch vectors, and mu_bound on eigenvector
 pairs is its independent oracle.
 """
@@ -20,13 +20,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MesonParams, Quasispin, _require_finite
+from .core import MesonParams, _require_finite
 from .effective import _DEGENERACY_TOL, EigenPair, ObservableMatrix
 
 __all__ = [
-    "UncertaintyReport", "binary_entropy", "mu_bound", "eigen_overlap",
-    "cp_overlap_ks", "complementary_time", "misid_time",
-    "delta_for_equal_times", "bipartite_mu_bound", "robertson_check",
+    "UncertaintyReport", "mu_bound", "bloch_mu_bound", "cp_overlap_ks",
+    "complementary_time", "misid_time", "delta_for_equal_times",
+    "bipartite_mu_bound", "robertson_check",
 ]
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
@@ -42,19 +42,6 @@ class UncertaintyReport:
     bound: float
     max_overlap: float
     argmax_pair: tuple
-
-
-def binary_entropy(p: float) -> float:
-    """Shannon entropy of a (p, 1-p) coin in bits, with 0 log 0 := 0."""
-    if not -1e-12 <= p <= 1.0 + 1e-12:
-        raise ValueError("probability outside [0, 1]")
-    p = min(max(p, 0.0), 1.0)
-    h = 0.0
-    if p > 0.0:
-        h -= p * math.log2(p)
-    if p < 1.0:
-        h -= (1.0 - p) * math.log2(1.0 - p)
-    return h
 
 
 def _max_overlap(pair1: EigenPair, pair2: EigenPair) -> tuple[float, tuple]:
@@ -91,11 +78,11 @@ def mu_bound(pair1: EigenPair, pair2: EigenPair) -> UncertaintyReport:
     return _report(*_max_overlap(pair1, pair2))
 
 
-def _bloch_mu_bound(n_a: np.ndarray, n_b: np.ndarray):
+def bloch_mu_bound(n_a: np.ndarray, n_b: np.ndarray):
     """(bound, max_overlap, argmax_j) of mu_bound for each row of Bloch vectors.
 
     n_a and n_b hold Bloch vectors on their last axis and broadcast.  With unit
-    axes a, b (+z below |n| = 1e-14, as in _pair) and d = a.b, the smaller
+    axes a, b (+z below |n| = 1e-14, as in spectral) and d = a.b, the smaller
     squared overlap s^2 = |a x b|^2 / (2 (1 + |d|)) is min(|a - b|^2, |a + b|^2)/4,
     free of cancellation, and the bound is -log2(1 - s^2).  argmax_i is 1;
     argmax_j is 2 only where d < 0 and (1, 2) beats (1, 1) by over 1e-12.
@@ -109,45 +96,6 @@ def _bloch_mu_bound(n_a: np.ndarray, n_b: np.ndarray):
     best = np.sqrt(1.0 - s2)
     argmax_j = np.where((plus < minus) & (best > np.sqrt(s2) + _TIE_TOL), 2, 1)
     return -np.log1p(-s2) / math.log(2.0), best, argmax_j
-
-
-def _side_terms(alpha: float, t: float, dg: float) -> tuple[float, float]:
-    """(cos(a/2) e^{dGamma t}, sin(a/2)) divided by the larger in size.
-
-    The decay factor goes on the cosine term where it is at most one
-    (t >= 0) and its inverse on the sine term otherwise, so neither
-    overflows.  Where the K_S term of a pure K_S question underflows, the
-    pair is its limit (+-1, 0).
-    """
-    c, s = math.cos(0.5 * alpha), math.sin(0.5 * alpha)
-    if dg * t <= 0.0:
-        c *= math.exp(dg * t)
-    else:
-        s *= math.exp(-dg * t)
-    big = max(abs(c), abs(s))
-    if big == 0.0:
-        return math.copysign(1.0, c), 0.0
-    return c / big, s / big
-
-
-def eigen_overlap(q_n: Quasispin | tuple, t_n: float, q_m: Quasispin | tuple,
-                  t_m: float, params: MesonParams) -> complex:
-    """Closed-form overlap <chi(a_n, phi_n, t_n)|chi(a_m, phi_m, t_m)>.
-
-    Accepts raw (alpha, phi) tuples so the backward-in-time arguments
-    (alpha+pi, phi+2t, -t) can be fed directly.  Valid for delta = 0.
-    Each side's two terms are divided by the larger one, which cancels
-    between numerator and denominator and keeps both finite at every time.
-    """
-    a_n, p_n = (q_n.alpha, q_n.phi) if isinstance(q_n, Quasispin) else q_n
-    a_m, p_m = (q_m.alpha, q_m.phi) if isinstance(q_m, Quasispin) else q_m
-    _require_finite(alpha_n=a_n, phi_n=p_n, t_n=t_n,
-                    alpha_m=a_m, phi_m=p_m, t_m=t_m)
-    dg = params.delta_gamma
-    c_n, s_n = _side_terms(a_n, t_n, dg)
-    c_m, s_m = _side_terms(a_m, t_m, dg)
-    num = c_n * c_m + s_n * s_m * cmath.exp(1j * (t_m - t_n + p_m - p_n))
-    return num / (math.hypot(c_n, s_n) * math.hypot(c_m, s_m))
 
 
 def cp_overlap_ks(t_n: float, params: MesonParams) -> float:

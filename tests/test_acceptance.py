@@ -66,8 +66,7 @@ def test_criterion_05_strangeness_bell_maximum():
     grid = [0.01 * i for i in range(1, 601)]
     peaks = {}
     for policy in ("alternating-1", "alternating-2"):
-        rows = scan_bell(policy, grid, KAON)
-        peaks[policy] = max(r.lambda_max for r in rows)
+        peaks[policy] = float(scan_bell(policy, grid, KAON).lambda_max.max())
     ok = all(abs(p - 2.1) <= 0.1 for p in peaks.values())
     report(5, "strangeness Bell maximum", ok,
            f"policy (b) {peaks['alternating-1']:.4f}, "

@@ -128,13 +128,14 @@ def test_summand_bound_against_50_digits(cp_mode):
           Quasispin(2.6, 5.5))
     amps = [cp_weights(q, params)[:2] if cp_mode else q.state_mass() for q in qs]
     grid = np.linspace(0.0, 12.0, 25)
-    for row in scan_bell("all-equal", grid, params, qs, cp_mode):
+    scan = scan_bell("all-equal", grid, params, qs, cp_mode)
+    for t, mu in zip(grid.tolist(), scan.summand_mu_bound):
         n_n, n_m, n_np, n_mp = (_bloch(_propagate(a, t, params))
-                                for a, t in zip(amps, TIME_POLICIES["all-equal"](row.t)))
+                                for a, t in zip(amps, TIME_POLICIES["all-equal"](t)))
         b_minus = [x - y for x, y in zip(n_m, n_mp)]
         b_plus = [x + y for x, y in zip(n_m, n_mp)]
         exact = exact_bound(n_n, n_np)[0] + exact_bound(b_minus, b_plus)[0]
-        assert abs(row.summand_mu_bound - exact) <= 1e-14
+        assert abs(mu - exact) <= 1e-14
 
 
 def test_delta_star_against_50_digits():

@@ -15,7 +15,7 @@ from mesonq import (
 from mesonq.bell import TIME_POLICIES, BellSetting
 from mesonq.core import PAULI, PAULI_Z, _require_hermitian
 from mesonq.effective import _rank_one, eigenpair_from_matrix
-from mesonq.evolution import _surviving_pair
+from mesonq.evolution import surviving_pair
 
 from conftest import random_density
 
@@ -165,8 +165,9 @@ class TestSampleWitnessMax:
         ({"seed": None}, "seed must be an integer"),
         ({"seed": np.random.default_rng(7)}, "seed must be an integer"),
         ({"seed": 7.0}, "seed must be an integer"),
+        ({"seed": -1}, "^seed must be nonnegative, got -1$"),
     ], ids=["float_n_states", "float_refine_steps", "negative_refine_steps",
-            "none_seed", "generator_seed", "float_seed"])
+            "none_seed", "generator_seed", "float_seed", "negative_seed"])
     def test_bad_argument_rejected(self, kaon, kwargs, match):
         b = bell_operator(planar_setting(), kaon)
         args = {"n_states": 100, "seed": 7, "refine_steps": 3} | kwargs
@@ -331,7 +332,7 @@ class TestCpBellTest:
         # the surviving block of the pair singlet is (|01> - |10>)/sqrt(2)
         # in every basis, so cp_bell_test reads it in the strangeness basis
         v = np.array([0.0, 1.0, -1.0, 0.0]) / SQRT2
-        singlet = _surviving_pair(singlet_state())
+        singlet = surviving_pair(singlet_state())
         assert np.abs(singlet - np.outer(v, v)).max() <= 1e-15
 
     def test_large_delta_rejected(self):
@@ -341,50 +342,46 @@ class TestCpBellTest:
 
 class TestScanBell:
     def test_time_zero_row(self, kaon):
-        row = scan_bell("alternating-1", [0.0, 0.5], kaon)[0]
-        assert row.lambda_max == pytest.approx(2.0, abs=1e-9)
-        assert row.summand_mu_bound == 0.0
+        scan = scan_bell("alternating-1", [0.0, 0.5], kaon)
+        assert scan.lambda_max[0] == pytest.approx(2.0, abs=1e-9)
+        assert scan.summand_mu_bound[0] == 0.0
 
     def test_policies_b_and_c_share_summand_bound(self, kaon):
         grid = [0.3, 0.8, 1.5, 2.4, 4.0]
-        rows_b = scan_bell("alternating-1", grid, kaon)
-        rows_c = scan_bell("alternating-2", grid, kaon)
-        for rb, rc in zip(rows_b, rows_c):
-            assert rb.summand_mu_bound == pytest.approx(rc.summand_mu_bound,
-                                                        abs=1e-10)
+        mu_b = scan_bell("alternating-1", grid, kaon).summand_mu_bound
+        mu_c = scan_bell("alternating-2", grid, kaon).summand_mu_bound
+        assert len(mu_b) == len(mu_c) == len(grid)
+        assert np.abs(mu_b - mu_c).max() <= 1e-10
 
     def test_strangeness_scan_maximum(self, kaon):
         grid = [0.02 * i for i in range(1, 301)]
-        rows = scan_bell("alternating-1", grid, kaon)
-        peak = max(r.lambda_max for r in rows)
+        peak = scan_bell("alternating-1", grid, kaon).lambda_max.max()
         assert peak == pytest.approx(2.1238, abs=2e-3)
 
     def test_violation_persists_at_long_times(self, kaon):
         grid = [0.05 * i for i in range(1, 121)]
-        rows = scan_bell("alternating-1", grid, kaon)
+        lam_max = scan_bell("alternating-1", grid, kaon).lambda_max
         horizon = 3.0 / kaon.gamma_s
-        assert any(r.t > horizon and r.lambda_max > 2.0 for r in rows)
+        assert ((np.array(grid) > horizon) & (lam_max > 2.0)).any()
 
     def test_decay_asymmetry_skews_the_spectrum(self, kaon):
         # unequal widths push lambda_max and |lambda_min| apart; equal widths
         # keep the scan nearly symmetric
         grid = [0.05 * i for i in range(1, 121)]
         equal = MesonParams(kaon.gamma_l, kaon.gamma_l, 0.0, "equalwidth")
-        rows_k = scan_bell("alternating-1", grid, kaon)
-        rows_e = scan_bell("alternating-1", grid, equal)
+        scan_k = scan_bell("alternating-1", grid, kaon)
+        scan_e = scan_bell("alternating-1", grid, equal)
 
-        def asymmetry(rows):
-            return abs(max(r.lambda_max for r in rows)
-                       + min(r.lambda_min for r in rows))
+        def asymmetry(scan):
+            return abs(scan.lambda_max.max() + scan.lambda_min.min())
 
-        assert asymmetry(rows_k) > 10.0 * asymmetry(rows_e)
+        assert asymmetry(scan_k) > 10.0 * asymmetry(scan_e)
 
     def test_bmeson_scan_respects_tsirelson(self, bmeson):
         grid = [0.05 * i for i in range(1, 121)]
-        rows = scan_bell("alternating-1", grid, bmeson)
-        for r in rows:
-            assert abs(r.lambda_max) <= 2.0 * SQRT2 + 1e-9
-            assert abs(r.lambda_min) <= 2.0 * SQRT2 + 1e-9
+        scan = scan_bell("alternating-1", grid, bmeson)
+        assert np.abs(scan.lambda_max).max() <= 2.0 * SQRT2 + 1e-9
+        assert np.abs(scan.lambda_min).max() <= 2.0 * SQRT2 + 1e-9
 
     def test_input_validation(self, kaon):
         with pytest.raises(ValueError, match="unknown time policy"):
@@ -393,6 +390,10 @@ class TestScanBell:
             scan_bell("all-equal", [], kaon)
         with pytest.raises(ValueError, match="sorted"):
             scan_bell("all-equal", [1.0, 0.5], kaon)
+        with pytest.raises(ValueError, match="^time grid must be one-dimensional$"):
+            scan_bell("all-equal", np.array([[0.1, 0.2]]), kaon)
+        with pytest.raises(ValueError, match="^need four quasispins, got 3$"):
+            scan_bell("all-equal", [0.1, 0.2], kaon, (K0BAR_DIRECTION,) * 3)
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match=f"t_m must be finite, got {bad}"):
                 scan_bell("alternating-1", [0.0, bad], kaon)
@@ -451,20 +452,21 @@ class TestBatchedScan:
                                     rng.uniform(0, 2 * math.pi))
                           for _ in range(4))
         for qs in ((K0BAR_DIRECTION,) * 4, random_qs):
-            rows = scan_bell(policy, SCAN_GRID, params, qs, cp_mode=cp_mode)
-            assert [r.t for r in rows] == SCAN_GRID
-            for row in rows:
-                times = TIME_POLICIES[policy](row.t)
+            scan = scan_bell(policy, SCAN_GRID, params, qs, cp_mode=cp_mode)
+            columns = (scan.lambda_min, scan.lambda_max, scan.summand_mu_bound)
+            assert all(c.shape == (len(SCAN_GRID),) for c in columns)
+            for t, lam_min, lam_max, mu_row in zip(SCAN_GRID, *columns):
+                times = TIME_POLICIES[policy](t)
                 lo, hi, mu = per_point_row(qs, times, params, cp_mode)
-                assert abs(row.lambda_min - lo) <= 1e-12
-                assert abs(row.lambda_max - hi) <= 1e-12
-                assert abs(row.summand_mu_bound - mu) <= 1e-12
+                assert abs(lam_min - lo) <= 1e-12
+                assert abs(lam_max - hi) <= 1e-12
+                assert abs(mu_row - mu) <= 1e-12
 
     def test_reference_covers_degenerate_rows(self, kaon, bmeson):
         # the grid reaches both rules: a degenerate B factor at t = 0 and
         # a degenerate A pair (|w|^2 < 1e-14) at long times
-        row = scan_bell("alternating-1", SCAN_GRID, kaon)[0]
-        assert row.t == 0.0 and row.summand_mu_bound == 0.0
+        scan = scan_bell("alternating-1", SCAN_GRID, kaon)
+        assert SCAN_GRID[0] == 0.0 and scan.summand_mu_bound[0] == 0.0
         o = effective_operator(K0BAR_DIRECTION, SCAN_GRID[-1], bmeson)
         assert spectral(o).degenerate
 
@@ -480,9 +482,11 @@ class TestBatchedScan:
                     s = BellSetting(qs[0], t_n, qs[1], t_m, qs[2], t_np,
                                     qs[3], t_mp, cp_mode=cp_mode)
                     rep = bell_bounds(s, params)
-                    row = scan_bell(policy, [t], params, tuple(qs), cp_mode)[0]
+                    assert type(rep.lambda_min) is type(rep.lambda_max) is float
+                    scan = scan_bell(policy, [t], params, tuple(qs), cp_mode)
                     assert (rep.lambda_min, rep.lambda_max, rep.summand_mu_bound) \
-                        == (row.lambda_min, row.lambda_max, row.summand_mu_bound)
+                        == (scan.lambda_min[0], scan.lambda_max[0],
+                            scan.summand_mu_bound[0])
 
     def test_non_hermitian_witness_rejected(self, kaon, monkeypatch):
         witness = mesonq.bell._witness

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import json
 import math
@@ -264,8 +265,11 @@ class TestLibraryErrors:
          "--t-max must be finite in dm units, got 1e+308 tau_s"),
         (["bell", "--steps", "3", "--t-min", "-1e308", "--t-max", "1e308"],
          "--t-min/--t-max span must be finite in dm units"),
+        (["verify", "--trials", "1", "--seed", "-1"],
+         "mesonq: error: seed must be nonnegative, got -1\n"),
     ], ids=["alpha", "cp-delta", "nan-width", "negative-time", "inf-t-max",
-            "fig-inf-t-max", "nan-t-min", "tau_s-overflow", "span-overflow"])
+            "fig-inf-t-max", "nan-t-min", "tau_s-overflow", "span-overflow",
+            "negative-seed"])
     def test_value_error_exits_1_with_one_line(self, capsys, argv, message):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -297,13 +301,13 @@ class TestVerify:
         m = re.search(r"bloch_vs_eigenvector_max_dev=([0-9.e+-]+) "
                       r"\(tolerance 1e-10\)", out)
         assert m and float(m.group(1)) < 1e-10
-        bloch_mu_bound = mesonq.cli._bloch_mu_bound
+        bloch_mu_bound = mesonq.cli.bloch_mu_bound
 
         def shifted(n_a, n_b):
             bound, best, arg = bloch_mu_bound(n_a, n_b)
             return bound + 1e-9, best, arg
 
-        monkeypatch.setattr(mesonq.cli, "_bloch_mu_bound", shifted)
+        monkeypatch.setattr(mesonq.cli, "bloch_mu_bound", shifted)
         code, out = run(capsys, "verify", "--trials", "2")
         assert code == 1 and "verify: FAIL" in out
 
@@ -474,6 +478,10 @@ class TestGoldenFigures:
         ("fig2a_small", ["uncertainty", "--fig", "2a", "--steps", "21"]),
         ("fig4b_small", ["bell", "--fig", "4b", "--steps", "31"]),
         ("fig5b_small", ["bell", "--fig", "5b", "--steps", "31"]),
+        ("fig3a_small", ["uncertainty", "--fig", "3a", "--steps", "11"]),
+        ("obs_small", ["uncertainty", "--obs1", "1.5708,0,0.5", "--obs2",
+                       "0.7,1,0", "--scan", "obs2", "--steps", "13",
+                       "--time-unit", "tau_s"]),
     ])
     def test_matches_golden(self, tmp_path, capsys, name, args):
         golden = GOLDEN_DIR / f"{name}.csv"
@@ -481,3 +489,12 @@ class TestGoldenFigures:
         main(args + ["--out", str(out)])
         capsys.readouterr()
         assert out.read_bytes() == golden.read_bytes()
+
+
+def test_cli_imports_no_private_name():
+    # the CLI runs on the package's public API
+    tree = ast.parse(Path(mesonq.cli.__file__).read_text())
+    private = [f"{node.module}.{alias.name}" for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names if alias.name.startswith("_")]
+    assert private == []

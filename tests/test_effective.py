@@ -18,7 +18,7 @@ from mesonq.effective import (
     eigenpair_from_matrix,
 )
 from mesonq.evolution import (
-    _surviving_pair, evolve_single_closed, quasispin_projector4,
+    evolve_single_closed, quasispin_projector4, surviving_pair,
 )
 
 from conftest import random_density
@@ -61,19 +61,26 @@ def _backward_chi(alpha, phi, t, params):
     return v / np.linalg.norm(v)
 
 
+def _n0(q, t, params):
+    """n0 of -n0*1 + n.sigma, read as -Tr(O)/2."""
+    return -0.5 * np.trace(effective_operator(q, t, params).matrix).real
+
+
 class TestBlochVector:
     def test_short_lived_direction_at_zero(self, kaon):
-        n0, n = bloch_vector(Quasispin(0.0, 0.0), 0.0, kaon)
+        n = bloch_vector(Quasispin(0.0, 0.0), 0.0, kaon)
         assert np.allclose(n, [0.0, 0.0, 1.0])
-        assert n0 == pytest.approx(0.0, abs=1e-15)
+        assert _n0(Quasispin(0.0, 0.0), 0.0, kaon) == pytest.approx(0.0, abs=1e-15)
 
     def test_strangeness_direction_at_zero(self, kaon):
-        n0, n = bloch_vector(Quasispin(math.pi / 2, 0.0), 0.0, kaon)
+        q = Quasispin(math.pi / 2, 0.0)
+        n = bloch_vector(q, 0.0, kaon)
         assert np.allclose(n, [1.0, 0.0, 0.0])
-        assert n0 == pytest.approx(0.0, abs=1e-15)
+        assert _n0(q, 0.0, kaon) == pytest.approx(0.0, abs=1e-15)
 
     def test_kaon_at_t1(self, kaon):
-        n0, n = bloch_vector(Quasispin(math.pi / 2, 0.0), 1.0, kaon)
+        n = bloch_vector(Quasispin(math.pi / 2, 0.0), 1.0, kaon)
+        n0 = _n0(Quasispin(math.pi / 2, 0.0), 1.0, kaon)
         damp = math.exp(-kaon.gamma_mean)
         assert n[0] == pytest.approx(damp * math.cos(1.0), abs=1e-15)
         assert n[1] == pytest.approx(damp * math.sin(1.0), abs=1e-15)
@@ -86,7 +93,7 @@ class TestBlochVector:
             a = rng.uniform(0, math.pi)
             phi = rng.uniform(0, 2 * math.pi)
             t = rng.uniform(0, 5)
-            _, n = bloch_vector(Quasispin(a, phi), t, kaon)
+            n = bloch_vector(Quasispin(a, phi), t, kaon)
             want = (math.cos(0.5 * a) ** 2 * math.exp(-kaon.gamma_s * t)
                     + math.sin(0.5 * a) ** 2 * math.exp(-kaon.gamma_l * t))
             assert np.linalg.norm(n) == pytest.approx(want, abs=1e-13)
@@ -94,15 +101,49 @@ class TestBlochVector:
 
     def test_length_shrinks_for_equal_widths(self, bmeson):
         q = Quasispin(1.0, 0.4)
-        lengths = [np.linalg.norm(bloch_vector(q, t, bmeson)[1])
+        lengths = [np.linalg.norm(bloch_vector(q, t, bmeson))
                    for t in np.linspace(0, 6, 61)]
         assert all(b <= a + 1e-12 for a, b in zip(lengths, lengths[1:]))
 
     def test_length_bounded_for_kaon(self, kaon):
         for t in np.linspace(0, 10, 101):
             for a in (0.0, 0.7, math.pi / 2, 2.5, math.pi):
-                _, n = bloch_vector(Quasispin(a, 1.0), float(t), kaon)
+                n = bloch_vector(Quasispin(a, 1.0), float(t), kaon)
                 assert np.linalg.norm(n) <= 1.0 + 1e-12
+
+
+class TestBlochVectorArrays:
+    QS = (Quasispin(0.0, 0.0), Quasispin(1.1, 2.3), Quasispin(math.pi / 2, math.pi),
+          Quasispin(math.pi, 0.4))
+
+    @pytest.mark.parametrize("cp", [False, True])
+    def test_rows_equal_scalar_calls(self, kaon, cp):
+        grid = np.linspace(0.0, 12.0, 37)
+        for q in self.QS:
+            rows = bloch_vector(q, grid, kaon, cp)
+            for t, row in zip(grid.tolist(), rows):
+                assert np.array_equal(row, bloch_vector(q, t, kaon, cp))
+
+    def test_cp_row_is_effective_operator_cp_bloch(self, kaon):
+        grid = np.linspace(0.0, 8.0, 25)
+        for q in self.QS:
+            rows = bloch_vector(q, grid, kaon, cp_corrected=True)
+            for t, row in zip(grid.tolist(), rows):
+                assert np.array_equal(row, effective_operator_cp(q, t, kaon).bloch)
+
+    def test_shape(self, kaon):
+        q = self.QS[1]
+        assert bloch_vector(q, 0.5, kaon).shape == (3,)
+        for t in (np.array(0.5), np.linspace(0, 1, 4), np.ones((2, 5)),
+                  np.zeros((3, 0))):
+            assert bloch_vector(q, t, kaon).shape == t.shape + (3,)
+
+    @pytest.mark.parametrize("t", [-0.1, math.nan, math.inf, [0.5, -1.0],
+                                   [0.5, math.nan], [[0.1], [math.inf]]])
+    @pytest.mark.parametrize("cp", [False, True])
+    def test_bad_times_rejected(self, kaon, t, cp):
+        with pytest.raises(ValueError):
+            bloch_vector(self.QS[1], t, kaon, cp)
 
 
 class TestEffectiveOperator:
@@ -119,12 +160,14 @@ class TestEffectiveOperator:
 
     def test_trace_identity(self, kaon):
         o = effective_operator(Quasispin(math.pi / 2, 0.0), 1.0, kaon)
-        assert np.trace(o.matrix).real == pytest.approx(-2.0 * o.n0, abs=1e-14)
+        n0 = 1.0 - np.linalg.norm(o.bloch)
+        assert np.trace(o.matrix).real == pytest.approx(-2.0 * n0, abs=1e-14)
 
     def test_bloch_reconstruction(self, kaon, rng):
         q = Quasispin(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
         o = effective_operator(q, 0.8, kaon)
-        n0, n = bloch_vector(q, 0.8, kaon)
+        n = bloch_vector(q, 0.8, kaon)
+        n0 = 1.0 - np.linalg.norm(n)
         rebuilt = -n0 * np.eye(2) + sum(ni * s for ni, s in zip(n, (PAULI_X,
                     np.array([[0, -1j], [1j, 0]]), np.diag([1.0, -1.0]))))
         assert np.abs(o.matrix - rebuilt).max() < 1e-14
@@ -511,5 +554,5 @@ class TestLongTimes:
         jo = joint_probabilities(psi, q_n, t_n, q_m, t_m, params)
         e_eff = bipartite_expectation(effective_operator(q_n, t_n, params),
                                       effective_operator(q_m, t_m, params),
-                                      _surviving_pair(psi))
+                                      surviving_pair(psi))
         assert abs(jo.expectation - e_eff) <= 1e-9

@@ -11,7 +11,7 @@ from mesonq import (
 from mesonq.core import MesonParams, mass_to_strangeness_matrix
 from mesonq.evolution import (
     DensityMatrix, embed_surviving, pure_density, singlet_vector,
-    _liouvillian_block, _rk4_propagator, _rk4_step, _surviving_pair,
+    surviving_pair, _liouvillian_block, _rk4_propagator, _rk4_step,
 )
 
 from conftest import random_density, random_pure_state
@@ -362,11 +362,11 @@ class TestBipartite:
 
 class TestSinglet:
     def test_surviving_pair_block(self):
-        surv = _surviving_pair(singlet_state())
+        surv = surviving_pair(singlet_state())
         assert surv.shape == (4, 4)
         assert np.trace(surv).real == pytest.approx(1.0, abs=1e-14)
         with pytest.raises(ValueError, match="expected a 16x16 pair state"):
-            _surviving_pair(np.arange(256.0))
+            surviving_pair(np.arange(256.0))
 
     def test_trace_one_pure(self):
         psi = singlet_state()
