@@ -247,7 +247,7 @@ def scan_bell(policy: str, t_grid, params: MesonParams,
         raise ValueError(f"unknown time policy: {policy!r}")
     if len(quasispins) != 4:
         raise ValueError(f"need four quasispins, got {len(quasispins)}")
-    grid = np.array(list(t_grid), dtype=float)
+    grid = np.asarray(t_grid, dtype=float)
     if grid.ndim != 1:
         raise ValueError("time grid must be one-dimensional")
     if grid.size == 0:

@@ -55,25 +55,87 @@ _POLICY_FOR_FIG = {"4a": "all-equal", "4b": "alternating-1", "4c": "alternating-
                    "5a": "alternating-1", "5b": "alternating-1"}
 
 
-def _write_csv(path: str | None, header: list[str], columns: list) -> None:
-    """Write columns under header through one format string per row.
+# entry i scales by 10^(22 - i) in one product or quotient by an exact power
+_MUL = np.array([float(10 ** max(22 - i, 0)) for i in range(45)])
+_DIV = np.array([float(10 ** max(i - 22, 0)) for i in range(45)])
+# ASCII: _D4 and _INT4 hold the digits and the str of 0..9999; a %.11e cell is
+# five uint32 words, NUL where short: [NUL NUL sign d] [. ddd] [dddd] [dddd] [e sign dd]
+_D4 = np.arange(10**4, dtype=np.int16)[:, None] // np.int16([1e3, 100, 10, 1]) % 10 + 48
+_INT4 = _D4.astype(np.uint8) * (np.arange(10**4)[:, None] >= [1e3, 100, 10, 0])
+_LEAD, _DOT3, _DIGIT4, _EXP = (
+    np.c_[w].astype(np.uint8).view(np.uint32)[:, 0] for w in (
+        (np.zeros((22, 2)), np.repeat([0, ord("-")], 11),  # lead 10 is a carried 1
+         np.tile(np.r_[_D4[:10, 3], ord("1")], 2)),
+        (np.full(1000, ord(".")), _D4[:1000, 1:]), (_D4,),
+        (np.full(199, ord("e")), np.repeat([ord("-"), ord("+")], [99, 100]),
+         np.r_[_D4[99:0:-1, 2:], _D4[:100, 2:]])))  # exponents -99..99
 
-    Floats print as %.11e, the rest as str; a scalar column is formatted once.
+
+def _e11_cells(x: np.ndarray) -> np.ndarray:
+    """The "%.11e" text of each float in x: NUL-padded bytes, shape x.shape + (20,).
+
+    For 1e-11 <= |x| < 1e33 with decimal exponent e, s = |x| 10^(11 - e) is one
+    product or quotient by an exact power of ten, rounded once: it lies within
+    2^-14 of its exact value in [1e11, 1e12), so rounding s gives the twelve
+    printed digits unless s is within 1e-4 of a tie.  Zeros go this way too;
+    nan, inf, other magnitudes, near-ties and s out of range go through "%.11e".
     """
-    fields, data = [], []
-    for col in map(np.asarray, columns):
-        fmt = "%.11e" if col.dtype.kind == "f" else "%s"
-        if col.ndim:
-            data.append(col.tolist())
-        fields.append(fmt if col.ndim else fmt % col.item())
-    row = ",".join(fields)
-    lines = [",".join(header)] + [row % values for values in zip(*data)]
-    text = "\n".join(lines) + "\n"
+    a = np.abs(x)
+    zero = a == 0.0
+    direct = (a >= 1e-11) & (a < 1e33) | zero
+    v = np.where(direct & ~zero, a, 1.0)  # 1.0 keeps numpy quiet on the rest
+    e = np.floor(np.log10(v)).astype(np.int64)
+    for fix in (1, 0):  # s = v 10^(11 - e); the first pass corrects e if one off
+        s = v * _MUL.take(e + 11, mode="clip") / _DIV.take(e + 11, mode="clip")
+        e += fix * ((s >= 1e12).astype(np.int64) - (s < 1e11))
+    frac = s - np.floor(s)
+    direct &= (s >= 1e11) & (s < 1e12) & (np.abs(frac - 0.5) >= 1e-4)
+    n = np.where(direct & ~zero, np.floor(s).astype(np.int64) + (frac > 0.5), 0)
+    lead, rest = np.divmod(n, 10 ** 11)  # lead 10: 9.999999999995 is 1.00000000000e+01
+    cells = np.stack([_LEAD[lead + 11 * np.signbit(x)], _DOT3[rest // 10 ** 8],
+                      _DIGIT4[rest // 10 ** 4 % 10 ** 4], _DIGIT4[rest % 10 ** 4],
+                      _EXP[e + (lead == 10) + 99]], axis=-1).view(np.uint8)
+    slow = np.flatnonzero(~direct)
+    texts = ["%.11e" % f for f in x.ravel()[slow].tolist()]  # <= 19 bytes: -d.dde-ddd
+    cells.reshape(-1, 20)[slow] = np.array(texts, "S20")[:, None].view(np.uint8)
+    return cells
+
+
+def _write_csv(path: str | None, header: list[str], columns: list) -> None:
+    """Write equal-length columns under header: floats as %.11e, the rest as str.
+
+    All float cells are formatted in one vectorized pass, a scalar column once;
+    a path that cannot be written raises ValueError naming it.
+    """
+    cols = [np.asarray(c) for c in columns]
+    rows = next((len(c) for c in cols if c.ndim), 0)
+    floats = iter(_e11_cells(np.array(
+        [c for c in cols if c.ndim and c.dtype.kind == "f"], dtype=float)))
+    cells = []  # NUL-padded uint8, a row per CSV row or one row for all
+    for col in cols:
+        if not col.ndim:
+            text = ("%.11e" if col.dtype.kind == "f" else "%s") % col.item()
+            cells.append(np.frombuffer(text.encode(), np.uint8)[None])
+        elif col.dtype.kind == "f":
+            cells.append(next(floats))
+        elif col.dtype.kind in "iu" and ((0 <= col) & (col < 1e4)).all():
+            cells.append(_INT4[col])
+        else:
+            cells.append(col.astype("S")[:, None].view(np.uint8))
+    ends = np.cumsum([c.shape[1] + 1 for c in cells])  # one past each separator
+    table = np.empty((rows, ends[-1]), np.uint8)
+    for c, end in zip(cells, ends.tolist()):
+        table[:, end - 1 - c.shape[1]:end - 1] = c
+    table[:, ends - 1] = np.where(ends < ends[-1], ord(","), ord("\n"))
+    text = ",".join(header) + "\n" + table.tobytes().translate(None, b"\0").decode()
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", newline="\n") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"--out {path}: {exc.strerror}") from None
 
 
 def _config_tokens(parser, path: str, options) -> list[str]:
@@ -173,10 +235,8 @@ def cmd_constants(args) -> int:
     print(f"delta={params.delta:.4g}")
     print(f"gamma_mean={params.gamma_mean:.11e}")
     print(f"delta_gamma={params.delta_gamma:.11e}")
-    if params.gamma_s > 0.0:
-        print(f"tau_s_dm_units={params.tau_s:.11e}")
-    else:
-        print("tau_s_dm_units=inf")
+    print(f"tau_s_dm_units={params.tau_s:.11e}" if params.gamma_s > 0.0
+          else "tau_s_dm_units=inf")
     return 0
 
 
@@ -249,8 +309,7 @@ def cmd_times(args) -> int:
     print(f"misid_time_dm={t_mis:.11e}")
     print(f"misid_time_tau_s={t_mis * params.gamma_s:.11e}")
     if params.delta != 0.0:
-        t_comp = complementary_time(params)
-        d_star = delta_for_equal_times(params)
+        t_comp, d_star = complementary_time(params), delta_for_equal_times(params)
         print(f"complementary_time_dm={t_comp:.11e}")
         print(f"complementary_time_tau_s={t_comp * params.gamma_s:.11e}")
         print(f"delta_equal_times={d_star:.11e}")
@@ -284,12 +343,8 @@ def cmd_bell(args) -> int:
         print(f"s_ks={report.s_ks:.11e} violates={report.variant_ks_violates}")
         print(f"s_kl={report.s_kl:.11e} violates={report.variant_kl_violates}")
         n_viol = int(report.variant_ks_violates) + int(report.variant_kl_violates)
-        if n_viol == 1:
-            print("result: one variant violates")
-        elif n_viol == 0:
-            print("result: no violation")
-        else:
-            print("result: both variants violate (unexpected)")
+        print("result:", ("no violation", "one variant violates",
+                          "both variants violate (unexpected)")[n_viol])
         return 0
 
     fig = args.fig
@@ -478,20 +533,17 @@ def _join_negative_floats(argv: list[str]) -> list[str]:
     argparse only recognizes plain negative decimals as values, not
     scientific notation.
     """
-    out, i = [], 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok in _FLOAT_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
+    out = []
+    for tok in argv:
+        if out and out[-1] in _FLOAT_FLAGS and tok.startswith("-"):
             try:
-                float(argv[i + 1])
+                float(tok)
             except ValueError:
                 pass
             else:
-                out.append(f"{tok}={argv[i + 1]}")
-                i += 2
+                out[-1] += "=" + tok
                 continue
         out.append(tok)
-        i += 1
     return out
 
 

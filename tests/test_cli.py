@@ -1,16 +1,23 @@
 import argparse
 import ast
+import contextlib
 import csv
+import io
 import json
 import math
+import os
 import re
+import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mesonq.cli
-from mesonq.cli import build_parser, main
+from mesonq.cli import _write_csv, build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -267,9 +274,13 @@ class TestLibraryErrors:
          "--t-min/--t-max span must be finite in dm units"),
         (["verify", "--trials", "1", "--seed", "-1"],
          "mesonq: error: seed must be nonnegative, got -1\n"),
+        (["bell", "--fig", "4b", "--steps", "3", "--out", "/nonexistent/x.csv"],
+         "mesonq: error: --out /nonexistent/x.csv: No such file or directory\n"),
+        (["bell", "--fig", "4b", "--steps", "3", "--out", "."],
+         "mesonq: error: --out .: Is a directory\n"),
     ], ids=["alpha", "cp-delta", "nan-width", "negative-time", "inf-t-max",
             "fig-inf-t-max", "nan-t-min", "tau_s-overflow", "span-overflow",
-            "negative-seed"])
+            "negative-seed", "out-missing-dir", "out-is-dir"])
     def test_value_error_exits_1_with_one_line(self, capsys, argv, message):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -361,6 +372,106 @@ class TestCsvContract:
         capsys.readouterr()
         assert float(read_rows(out_check)[-1]["lambda_max"]) == pytest.approx(
             float(rows_ts[-1]["lambda_max"]), abs=1e-12)
+
+
+def reference_csv(header, columns):
+    """The CSV text of the per-row writer that _write_csv replaced.
+
+    Floats print as %.11e, the rest as str; a scalar column is formatted once.
+    """
+    fields, data = [], []
+    for col in map(np.asarray, columns):
+        fmt = "%.11e" if col.dtype.kind == "f" else "%s"
+        if col.ndim:
+            data.append(col.tolist())
+        fields.append(fmt if col.ndim else fmt % col.item())
+    row = ",".join(fields)
+    lines = [",".join(header)] + [row % values for values in zip(*data)]
+    return "\n".join(lines) + "\n"
+
+
+def written(header, columns):
+    """What _write_csv writes for one table to a file and to '-' (stdout)."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "table.csv")
+            _write_csv(path, header, columns)
+            with open(path, "rb") as fh:
+                to_file = fh.read().decode()
+        with contextlib.redirect_stdout(io.StringIO()) as out:
+            _write_csv("-", header, columns)
+    return to_file, out.getvalue()
+
+
+# exact 12-digit ties, rollovers, the ends of the vectorized range, powers of
+# ten either side of 10^22 (the last exact one), subnormals and the extremes
+AWKWARD = [123456789012.5, 9.9999999999995, 999999999999.5, 1e-11, 1e33, 1e22,
+           1e23, 5e-324, 1e-300, 1.7976931348623157e308, 9.99999999999949e32,
+           9.9999999999995e32, np.nextafter(1e-11, 0.0), np.nextafter(1e33, 0.0),
+           2.2250738585072014e-308, 1.25e-5, 0.1, 1.0, 2.0, 0.0, -0.0, math.inf,
+           -math.inf, math.nan]
+# 13 significant digits ending in 5: the nearest double is at or next to a tie
+TIES = st.builds(lambda m, e, sign: sign * float(f"{m}5e{e}"),
+                 st.integers(10 ** 11, 10 ** 12 - 1), st.integers(-26, 22),
+                 st.sampled_from([1.0, -1.0]))
+FLOATS = st.floats(allow_subnormal=True) | st.sampled_from(AWKWARD) | TIES
+
+
+@st.composite
+def tables(draw):
+    """(header, columns): float, integer and scalar columns in any order."""
+    rows = draw(st.integers(1, 12))
+    column = st.lists(FLOATS, min_size=rows, max_size=rows).map(np.array)
+    ints = st.lists(st.integers(-3, 20_000), min_size=rows, max_size=rows)
+    columns = (draw(st.lists(column, min_size=1, max_size=4))
+               + draw(st.lists(ints.map(np.array), max_size=2))
+               + draw(st.lists(FLOATS | st.integers(-2, 3), max_size=3)))
+    columns = draw(st.permutations(columns))
+    return [f"c{k}" for k in range(len(columns))], columns
+
+
+class TestCsvWriter:
+    """The vectorized writer against the per-row reference, byte for byte."""
+
+    @given(table=tables())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, table):
+        header, columns = table
+        expected = reference_csv(header, columns)
+        assert written(header, columns) == (expected, expected)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_awkward_values(self, sign):
+        values = sign * np.array(AWKWARD)
+        header = ["x", "scalar", "argmax", "half", "t"]
+        columns = [values, 1e23, np.arange(len(values)) + 1111, values / 2,
+                   np.linspace(0.0, 6.0, len(values))]
+        expected = reference_csv(header, columns)
+        assert written(header, columns) == (expected, expected)
+        for value in AWKWARD:
+            expected = reference_csv(["v", "w"], [np.array([value]), value])
+            assert written(["v", "w"], [np.array([value]), value]) == (expected,) * 2
+
+    @pytest.mark.parametrize("ints", [
+        [1, 2, 2, 1], [1111, 1212, 1112, 1211], [0, 9, 10, 9999],
+        [10_000, -1, 123456789, -(2 ** 63)], np.array([0, 3, 255, 7], np.uint8),
+        np.array([True, False, True, True]),
+    ], ids=["argmax", "argmax-bipartite", "table-ends", "beyond-table", "uint8",
+            "bool"])
+    def test_integer_columns(self, ints):
+        columns = [np.array(ints), np.array([0.25, -0.0, 3e-12, 1e40]), 1, 2.0,
+                   np.array(ints)]
+        for order in ([0, 1, 2, 3, 4], [2, 1, 0, 4, 3], [3, 4, 2, 0, 1]):
+            header = [f"c{k}" for k in order]
+            table = [columns[k] for k in order]
+            expected = reference_csv(header, table)
+            assert written(header, table) == (expected, expected)
+
+    def test_stdout_matches_golden(self, capsys):
+        assert main(["bell", "--fig", "4b", "--steps", "31", "--out", "-"]) == 0
+        golden = (GOLDEN_DIR / "fig4b_small.csv").read_text()
+        assert capsys.readouterr().out == golden
 
 
 class TestConfigFile:
