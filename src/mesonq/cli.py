@@ -58,17 +58,20 @@ _POLICY_FOR_FIG = {"4a": "all-equal", "4b": "alternating-1", "4c": "alternating-
 # entry i scales by 10^(22 - i) in one product or quotient by an exact power
 _MUL = np.array([float(10 ** max(22 - i, 0)) for i in range(45)])
 _DIV = np.array([float(10 ** max(i - 22, 0)) for i in range(45)])
-# ASCII: _D4 and _INT4 hold the digits and the str of 0..9999; a %.11e cell is
-# five uint32 words, NUL where short: [NUL NUL sign d] [. ddd] [dddd] [dddd] [e sign dd]
-_D4 = np.arange(10**4, dtype=np.int16)[:, None] // np.int16([1e3, 100, 10, 1]) % 10 + 48
-_INT4 = _D4.astype(np.uint8) * (np.arange(10**4)[:, None] >= [1e3, 100, 10, 0])
-_LEAD, _DOT3, _DIGIT4, _EXP = (
-    np.c_[w].astype(np.uint8).view(np.uint32)[:, 0] for w in (
-        (np.zeros((22, 2)), np.repeat([0, ord("-")], 11),  # lead 10 is a carried 1
-         np.tile(np.r_[_D4[:10, 3], ord("1")], 2)),
-        (np.full(1000, ord(".")), _D4[:1000, 1:]), (_D4,),
-        (np.full(199, ord("e")), np.repeat([ord("-"), ord("+")], [99, 100]),
-         np.r_[_D4[99:0:-1, 2:], _D4[:100, 2:]])))  # exponents -99..99
+
+
+@functools.cache
+def _cell_words() -> tuple[np.ndarray, ...]:
+    """ASCII uint32 words of a %.11e cell, which is five words, NUL where short:
+    [NUL NUL sign d] [. ddd] [dddd] [dddd] [e sign dd]; built at the first CSV."""
+    d4 = np.arange(10**4, dtype=np.int16)[:, None] // np.int16([1e3, 100, 10, 1]) % 10 + 48
+    return tuple(
+        np.c_[w].astype(np.uint8).view(np.uint32)[:, 0] for w in (
+            (np.zeros((22, 2)), np.repeat([0, ord("-")], 11),  # lead 10 is a carried 1
+             np.tile(np.r_[d4[:10, 3], ord("1")], 2)),
+            (np.full(1000, ord(".")), d4[:1000, 1:]), (d4,),
+            (np.full(199, ord("e")), np.repeat([ord("-"), ord("+")], [99, 100]),
+             np.r_[d4[99:0:-1, 2:], d4[:100, 2:]])))  # exponents -99..99
 
 
 def _e11_cells(x: np.ndarray) -> np.ndarray:
@@ -92,9 +95,10 @@ def _e11_cells(x: np.ndarray) -> np.ndarray:
     direct &= (s >= 1e11) & (s < 1e12) & (np.abs(frac - 0.5) >= 1e-4)
     n = np.where(direct & ~zero, np.floor(s).astype(np.int64) + (frac > 0.5), 0)
     lead, rest = np.divmod(n, 10 ** 11)  # lead 10: 9.999999999995 is 1.00000000000e+01
-    cells = np.stack([_LEAD[lead + 11 * np.signbit(x)], _DOT3[rest // 10 ** 8],
-                      _DIGIT4[rest // 10 ** 4 % 10 ** 4], _DIGIT4[rest % 10 ** 4],
-                      _EXP[e + (lead == 10) + 99]], axis=-1).view(np.uint8)
+    lead_w, dot3, digit4, exp_w = _cell_words()
+    cells = np.stack([lead_w[lead + 11 * np.signbit(x)], dot3[rest // 10 ** 8],
+                      digit4[rest // 10 ** 4 % 10 ** 4], digit4[rest % 10 ** 4],
+                      exp_w[e + (lead == 10) + 99]], axis=-1).view(np.uint8)
     slow = np.flatnonzero(~direct)
     texts = ["%.11e" % f for f in x.ravel()[slow].tolist()]  # <= 19 bytes: -d.dde-ddd
     cells.reshape(-1, 20)[slow] = np.array(texts, "S20")[:, None].view(np.uint8)
@@ -118,8 +122,6 @@ def _write_csv(path: str | None, header: list[str], columns: list) -> None:
             cells.append(np.frombuffer(text.encode(), np.uint8)[None])
         elif col.dtype.kind == "f":
             cells.append(next(floats))
-        elif col.dtype.kind in "iu" and ((0 <= col) & (col < 1e4)).all():
-            cells.append(_INT4[col])
         else:
             cells.append(col.astype("S")[:, None].view(np.uint8))
     ends = np.cumsum([c.shape[1] + 1 for c in cells])  # one past each separator
@@ -235,8 +237,10 @@ def cmd_constants(args) -> int:
     print(f"delta={params.delta:.4g}")
     print(f"gamma_mean={params.gamma_mean:.11e}")
     print(f"delta_gamma={params.delta_gamma:.11e}")
-    print(f"tau_s_dm_units={params.tau_s:.11e}" if params.gamma_s > 0.0
-          else "tau_s_dm_units=inf")
+    if params.gamma_s > 0.0:
+        print(f"tau_s_dm_units={params.tau_s:.11e}")
+    else:
+        print("tau_s_dm_units=inf")
     return 0
 
 
@@ -309,7 +313,8 @@ def cmd_times(args) -> int:
     print(f"misid_time_dm={t_mis:.11e}")
     print(f"misid_time_tau_s={t_mis * params.gamma_s:.11e}")
     if params.delta != 0.0:
-        t_comp, d_star = complementary_time(params), delta_for_equal_times(params)
+        t_comp = complementary_time(params)
+        d_star = delta_for_equal_times(params)
         print(f"complementary_time_dm={t_comp:.11e}")
         print(f"complementary_time_tau_s={t_comp * params.gamma_s:.11e}")
         print(f"delta_equal_times={d_star:.11e}")
@@ -343,8 +348,12 @@ def cmd_bell(args) -> int:
         print(f"s_ks={report.s_ks:.11e} violates={report.variant_ks_violates}")
         print(f"s_kl={report.s_kl:.11e} violates={report.variant_kl_violates}")
         n_viol = int(report.variant_ks_violates) + int(report.variant_kl_violates)
-        print("result:", ("no violation", "one variant violates",
-                          "both variants violate (unexpected)")[n_viol])
+        if n_viol == 1:
+            print("result: one variant violates")
+        elif n_viol == 0:
+            print("result: no violation")
+        else:
+            print("result: both variants violate (unexpected)")
         return 0
 
     fig = args.fig
@@ -533,17 +542,20 @@ def _join_negative_floats(argv: list[str]) -> list[str]:
     argparse only recognizes plain negative decimals as values, not
     scientific notation.
     """
-    out = []
-    for tok in argv:
-        if out and out[-1] in _FLOAT_FLAGS and tok.startswith("-"):
+    out, i = [], 0
+    while i < len(argv):
+        tok = argv[i]
+        if tok in _FLOAT_FLAGS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
             try:
-                float(tok)
+                float(argv[i + 1])
             except ValueError:
                 pass
             else:
-                out[-1] += "=" + tok
+                out.append(f"{tok}={argv[i + 1]}")
+                i += 2
                 continue
         out.append(tok)
+        i += 1
     return out
 
 

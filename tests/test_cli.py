@@ -457,7 +457,7 @@ class TestCsvWriter:
         [1, 2, 2, 1], [1111, 1212, 1112, 1211], [0, 9, 10, 9999],
         [10_000, -1, 123456789, -(2 ** 63)], np.array([0, 3, 255, 7], np.uint8),
         np.array([True, False, True, True]),
-    ], ids=["argmax", "argmax-bipartite", "table-ends", "beyond-table", "uint8",
+    ], ids=["argmax", "argmax-bipartite", "digit-counts", "wide-and-negative", "uint8",
             "bool"])
     def test_integer_columns(self, ints):
         columns = [np.array(ints), np.array([0.25, -0.0, 3e-12, 1e40]), 1, 2.0,
