@@ -89,9 +89,13 @@ def _detection_times(times) -> np.ndarray:
 
 def _observables(times, quasispins: tuple[Quasispin, ...], params: MesonParams,
                  cp_mode: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked amplitudes w at four times (floats or grid columns), and 2|w><w| - 1."""
-    w = np.array([_propagate(_amplitudes(q, params, cp_mode), t, params)
-                  for q, t in zip(quasispins, times, strict=True)])
+    """Stacked amplitudes w at four times (floats or grid columns), and 2|w><w| - 1.
+
+    One _propagate call carries all four, on the (4,) times or (4, n) columns.
+    """
+    times = np.asarray(times, dtype=float)
+    amps = np.array([_amplitudes(q, params, cp_mode) for q in quasispins])
+    w = _propagate(amps.reshape(4, *(1,) * (times.ndim - 1), 2), times, params)
     return w, _rank_one(w)
 
 
@@ -266,8 +270,10 @@ def _haar_draw(n_states: int, seed: int) -> np.ndarray:
     seed share it.
     """
     rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_states, 4)) + 1j * rng.standard_normal((n_states, 4))
-    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    z = np.empty((n_states, 4), dtype=complex)
+    z.real = rng.standard_normal((n_states, 4))
+    z.imag = rng.standard_normal((n_states, 4))
+    z *= 1.0 / np.linalg.norm(z, axis=1, keepdims=True)
     z.setflags(write=False)
     return z
 

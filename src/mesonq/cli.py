@@ -260,8 +260,12 @@ def cmd_uncertainty(args) -> int:
         fixed, scanned = _CP_QUESTIONS[fig] if cp else (Quasispin(0.5 * math.pi, 0.0),) * 2
         grid = _grid(args, params, (0.0, 8.0, 401) if cp else (0.0, 2.0 * math.pi, 201))
         if fig in ("2a", "2b") and params.delta != 0.0:
-            # include the exact complementary-time row, where the bound peaks
-            grid = np.array(sorted(set(grid) | {complementary_time(params)}))
+            # include the exact complementary-time row, where the bound peaks,
+            # unless it is a grid point already
+            t_comp = complementary_time(params)
+            i = int(np.searchsorted(grid, t_comp))
+            if i == len(grid) or grid[i] != t_comp:
+                grid = np.insert(grid, i, t_comp)
         n_1, n_2 = (bloch_vector(scanned, grid, params, cp),
                     bloch_vector(fixed, 0.0, params, cp))
     else:

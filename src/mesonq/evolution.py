@@ -189,36 +189,62 @@ def _liouvillian(g: np.ndarray, gens, idx: np.ndarray) -> np.ndarray:
     return lv
 
 
+def _components(links: np.ndarray) -> np.ndarray:
+    """Connected-component label of each node of a square boolean link matrix.
+
+    Links count in both directions; a component is labelled by its lowest node.
+    """
+    adj = links | links.T | np.eye(len(links), dtype=bool)
+    label = np.arange(len(links))
+    while True:  # each pass spreads the lowest label one link further
+        grown = np.where(adj, label, len(links)).min(axis=1, initial=len(links))
+        if (grown == label).all():
+            return label
+        label = grown
+
+
 @functools.lru_cache(maxsize=8)
 def _liouvillian_block(gamma_s: float, gamma_l: float, dim: int, summed: bool,
                        support: bytes) -> tuple[np.ndarray, np.ndarray]:
-    """Reachable entries and their Liouvillian block, read-only.
+    """Reachable entries and the independent blocks of L on them, read-only.
 
     `support` is the bytes of the boolean nonzero pattern of a dim x dim
-    state.  The block depends only on the widths, the dimension, the
-    generator variant and that pattern (delta does not enter the
-    generators), so states that share them share one block.
+    state.  L never couples two connected components of its nonzero pattern,
+    so each component of the reachable entries is one block: the (blocks, k)
+    flat indices into vec(rho), ascending, and the (blocks, k, k) stack of
+    their rows and columns of L, k the largest component.  Shorter ones are
+    padded with the index dim * dim and zero rows and columns.  The blocks
+    depend only on the widths, the dimension, the generator variant and that
+    pattern (delta does not enter the generators), so states that share them
+    share the blocks.
     """
     h, gens = _generators(gamma_s, gamma_l, dim, summed)
     g = -1j * h - 0.5 * sum(a.conj().T @ a for a in gens)
     nonzero = np.frombuffer(support, dtype=bool).reshape(dim, dim)
     reach = np.flatnonzero(_reachable(g, gens, nonzero))
     lv = _liouvillian(g, gens, reach)
-    reach.setflags(write=False)
-    lv.setflags(write=False)
-    return reach, lv
+    label = _components(lv != 0)  # a component's label is its lowest entry
+    groups = [np.flatnonzero(label == c) for c in range(len(label)) if label[c] == c]
+    # positions in reach, one row per component; len(reach) pads
+    local = np.full((len(groups), max(map(len, groups), default=0)), len(reach))
+    for row, members in zip(local, groups):
+        row[:len(members)] = members
+    idx = np.append(reach, dim * dim)[local]
+    blocks = np.pad(lv, (0, 1))[local[:, :, None], local[:, None, :]]
+    idx.setflags(write=False)
+    blocks.setflags(write=False)
+    return idx, blocks
 
 
 def _rk4_propagator(x: np.ndarray) -> np.ndarray:
     """One classical RK4 step of dv/dt = L v as a matrix, x = step * L.
 
     For a linear right-hand side the four stages collapse to the Taylor
-    polynomial 1 + x + x^2/2 + x^3/6 + x^4/24.
+    polynomial 1 + x + x^2/2 + x^3/6 + x^4/24.  x may be a stack of blocks
+    on its leading axes.
     """
     x2 = x @ x
-    out = x2 @ (x / 6.0 + x2 / 24.0) + x + 0.5 * x2
-    out[np.diag_indices_from(out)] += 1.0
-    return out
+    return x2 @ (x / 6.0 + x2 / 24.0) + x + 0.5 * x2 + np.eye(x.shape[-1])
 
 
 def _rk4_step(lv: np.ndarray, v: np.ndarray, step: float) -> np.ndarray:
@@ -257,11 +283,15 @@ def lindblad_integrate(rho, t: float, params: MesonParams, dt: float = 1e-3,
 
     The equation is linear, so one RK4 step with step size t / ceil(t / dt) is
     the fixed matrix P = 1 + x + x^2/2 + x^3/6 + x^4/24, x = step * L, acting
-    on vec(rho).  P is built only on the entries reachable from the support of
-    rho and applied as P^n, n the step count, by binary powering.  The
-    reachable entries and their block of L are built once per (widths,
-    dimension, generator variant, support) and kept for the last 8 such keys;
-    P and everything after it are computed on every call.
+    on vec(rho).  Only the entries reachable from the support of rho are
+    kept, and L never couples two connected components of its nonzero
+    pattern among them, so P is built per component, as a stack of small
+    blocks, and applied as P^n, n the step count, by binary powering.  A
+    surviving single state has 4 blocks of 2 entries, a surviving pair 16
+    blocks of 4, and a full pair state 144 blocks of at most 4.  The blocks
+    are read off L, never off the closed form, once per (widths, dimension,
+    generator variant, support), and kept for the last 8 such keys; P and
+    everything after it are computed on every call.
     The step-doubling error estimate (P(step) against two half steps) and the
     trace drift must stay within 1e-6.  Unmeasurable final coherences are
     zeroed on output, matching the closed form.
@@ -273,9 +303,10 @@ def lindblad_integrate(rho, t: float, params: MesonParams, dt: float = 1e-3,
         raise ValueError("integration runs forward in time only")
     m = _entries(rho, "state", (4, 4), (16, 16))
     dim = m.shape[0]
-    reach, lv = _liouvillian_block(params.gamma_s, params.gamma_l, dim,
-                                   summed_generator, (m != 0).tobytes())
-    v0 = m.reshape(-1)[reach]
+    idx, lv = _liouvillian_block(params.gamma_s, params.gamma_l, dim,
+                                 summed_generator, (m != 0).tobytes())
+    # padded slots read and write the extra last entry, a zero
+    v0 = np.append(m.reshape(-1), 0.0)[idx][..., None]
 
     steps = max(1, math.ceil(t / dt))
     step = t / steps
@@ -287,9 +318,9 @@ def lindblad_integrate(rho, t: float, params: MesonParams, dt: float = 1e-3,
         err = np.abs(prop @ v0 - halves).max(initial=0.0) * steps
         if not err <= _STEP_ERROR_LIMIT:
             raise ValueError("integration error above 1e-6: reduce dt")
-    r = np.zeros(dim * dim, dtype=complex)
-    r[reach] = _apply_steps(prop, v0, steps)
-    r = r.reshape(dim, dim)
+    r = np.zeros(dim * dim + 1, dtype=complex)
+    r[idx] = _apply_steps(prop, v0, steps)[..., 0]
+    r = r[:-1].reshape(dim, dim)
     if not abs(np.trace(r).real - np.trace(m).real) <= _STEP_ERROR_LIMIT:
         raise ValueError("trace drift above 1e-6: reduce dt")
     mask = _MASK4 if dim == 4 else _MASK16

@@ -14,7 +14,9 @@ from mesonq import (
 )
 from mesonq.bell import TIME_POLICIES, BellSetting
 from mesonq.core import PAULI, PAULI_Z, _require_hermitian
-from mesonq.effective import _rank_one, eigenpair_from_matrix
+from mesonq.effective import (
+    _amplitudes, _propagate, _rank_one, eigenpair_from_matrix,
+)
 from mesonq.evolution import surviving_pair
 
 from conftest import random_density
@@ -225,6 +227,11 @@ class TestHaarDrawCache:
         assert mesonq.bell._haar_draw(100, 7) is z
         assert not np.array_equal(mesonq.bell._haar_draw(100, 8), z)
 
+    def test_draw_equals_fresh_draw(self):
+        for seed in (*range(20), mesonq.bell.DEFAULT_SEED):
+            assert np.array_equal(mesonq.bell._haar_draw(10_000, seed),
+                                  fresh_draw(10_000, seed))
+
     def test_unrefined_value_matches_fresh_draw(self, kaon):
         for b in verify_witnesses(kaon):
             z = fresh_draw(10_000, 11)
@@ -295,6 +302,49 @@ class TestKronReference:
             e = bipartite_expectation(build(qs[0], ts[0], kaon),
                                       build(qs[1], ts[1], kaon), rho4)
             assert e == e_nm
+
+
+def per_question_observables(times, quasispins, params, cp_mode):
+    """The four questions propagated one _propagate call at a time."""
+    w = np.array([_propagate(_amplitudes(q, params, cp_mode), t, params)
+                  for q, t in zip(quasispins, times, strict=True)])
+    return w, _rank_one(w)
+
+
+class TestStackedQuestions:
+    """One _propagate call on the four questions gives the bits of four calls."""
+
+    def outputs(self, params, settings, rho4, grid):
+        out = []
+        for s in settings:
+            r, c = bell_bounds(s, params), chsh_value(s, rho4, params)
+            out += [bell_operator(s, params), r.lambda_min, r.lambda_max,
+                    r.summand_mu_bound, c.s, c.witness]
+        for policy in TIME_POLICIES:
+            for cp_mode in (False, True):
+                r = scan_bell(policy, grid, params, cp_mode=cp_mode)
+                out += [r.lambda_min, r.lambda_max, r.summand_mu_bound]
+        return out
+
+    @pytest.mark.parametrize("params", [kaon_defaults(),
+                                        MesonParams(1.0, 1.0 / 579.0, 3.3e-3),
+                                        bmeson_defaults()])
+    def test_bit_identical_to_per_question_calls(self, params, rng, monkeypatch):
+        settings = [planar_setting(), planar_setting(1.7),
+                    strangeness_setting(0.0, 1.0, 1.0, 0.0)]
+        for k in range(20):
+            q = [Quasispin(*rng.uniform(0.0, math.pi, 2)) for _ in range(4)]
+            t = rng.uniform(0.0, 8.0, 4)
+            t[k % 4] = 0.0 if k % 3 == 0 else t[k % 4]
+            settings.append(BellSetting(q[0], t[0], q[1], t[1], q[2], t[2],
+                                        q[3], t[3], cp_mode=bool(k % 2)))
+        rho4 = random_density(rng, 4)
+        grid = np.linspace(0.0, 8.0, 41)
+        got = self.outputs(params, settings, rho4, grid)
+        monkeypatch.setattr(mesonq.bell, "_observables", per_question_observables)
+        want = self.outputs(params, settings, rho4, grid)
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
 
 
 class TestCpBellTest:

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mesonq.cli
+from mesonq import complementary_time, kaon_defaults
 from mesonq.cli import _write_csv, build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -135,6 +136,19 @@ class TestUncertaintyCommand:
         assert peak > 1.0 - 1e-6
         t_peak = max(rows, key=lambda r: float(r["bound"]))["t"]
         assert float(t_peak) == pytest.approx(5.42, abs=0.01)
+
+    @pytest.mark.parametrize("fig", ["2a", "2b"])
+    def test_complementary_time_row_appears_once(self, tmp_path, capsys, fig):
+        t_comp = complementary_time(kaon_defaults())
+        # off the grid it is inserted; as the first grid point it is kept once
+        for t_min, n_rows in (("0", 22), (repr(t_comp), 21)):
+            out = tmp_path / f"fig{fig}.csv"
+            run(capsys, "uncertainty", "--fig", fig, "--steps", "21",
+                "--t-min", t_min, "--out", str(out))
+            t = [float(r["t"]) for r in read_rows(out)]
+            assert len(t) == n_rows
+            assert t.count(float(f"{t_comp:.11e}")) == 1
+            assert all(a < b for a, b in zip(t, t[1:]))
 
     def test_fig_2d_stays_uncertain(self, tmp_path, capsys):
         out = tmp_path / "fig2d.csv"

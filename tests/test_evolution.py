@@ -224,6 +224,20 @@ class TestLindbladIntegrator:
             got = lindblad_integrate(rho, t, kaon, summed_generator=summed)
             assert np.abs(got.entries - want).max() < 1e-12
 
+    @pytest.mark.parametrize("t", [0.0, 0.05])
+    @pytest.mark.parametrize("summed", [False, True])
+    def test_blocked_integrator_matches_stagewise_rk4(self, kaon, bmeson, rng,
+                                                      t, summed):
+        # the empty support has no blocks at all; a surviving pair has 16 of
+        # 4 entries (6 with the summed generator), a full pair 144 of <= 4
+        states = [np.zeros((4, 4)), np.zeros((16, 16)), random_density(rng, 4),
+                  surviving_pair_density(rng), random_density(rng, 16)]
+        for params in (kaon, bmeson):
+            for rho in states:
+                want = rk4_reference(rho, t, params, summed_generator=summed)
+                got = lindblad_integrate(rho, t, params, summed_generator=summed)
+                assert np.abs(got.entries - want).max() < 1e-12
+
     def test_full_support_matches_closed_form(self, kaon, rng):
         # every entry is populated, so the integrator runs on the whole space
         rho4 = random_density(rng, 4)
@@ -251,12 +265,53 @@ class TestLiouvillianBlockCache:
 
     def test_block_is_read_only(self, kaon, rng):
         rho = surviving_pair_density(rng)
-        reach, lv = _liouvillian_block(kaon.gamma_s, kaon.gamma_l, 16, False,
-                                       (rho != 0).tobytes())
+        idx, blocks = _liouvillian_block(kaon.gamma_s, kaon.gamma_l, 16, False,
+                                         (rho != 0).tobytes())
         with pytest.raises(ValueError):
-            reach[0] = 1
+            idx[0, 0] = 1
         with pytest.raises(ValueError):
-            lv[0, 0] = 0.0
+            blocks[0, 0, 0] = 0.0
+
+    @pytest.mark.parametrize("support, summed, shape", [
+        (embed_surviving(np.ones((2, 2))), False, (4, 2)),
+        (np.ones((4, 4)), False, (12, 2)),
+        (surviving_pair_density(np.random.default_rng(0)), False, (16, 4)),
+        (surviving_pair_density(np.random.default_rng(0)), True, (16, 6)),
+        (np.ones((16, 16)), False, (144, 4)),
+        (np.zeros((4, 4)), False, (0, 0)),
+    ])
+    def test_independent_blocks(self, kaon, support, summed, shape):
+        dim = len(support)
+        idx, blocks = _liouvillian_block(kaon.gamma_s, kaon.gamma_l, dim, summed,
+                                         (support != 0).tobytes())
+        assert idx.shape == shape and blocks.shape == shape + shape[-1:]
+        # every entry sits in one block; padding points past vec(rho) and has
+        # zero rows and columns
+        entries = idx[idx < dim * dim]
+        assert len(np.unique(entries)) == len(entries)
+        pad = idx == dim * dim
+        assert not blocks[pad].any() and not blocks.transpose(0, 2, 1)[pad].any()
+        # the blocks are the whole of L on the reachable entries
+        h = np.diag([0.0, 1.0, 0.0, 0.0])
+        a = np.zeros((4, 4))
+        a[3, 0], a[2, 1] = math.sqrt(kaon.gamma_s), math.sqrt(kaon.gamma_l)
+        gens = [a]
+        if dim == 16:
+            i4 = np.eye(4)
+            h = np.kron(h, i4) + np.kron(i4, h)
+            gens = [np.kron(a, i4), np.kron(i4, a)]
+            gens = [gens[0] + gens[1]] if summed else gens
+        g = -1j * h - 0.5 * sum(x.T @ x for x in gens)
+        eye = np.eye(dim)
+        full = np.kron(g, eye) + np.kron(eye, g.conj()) + sum(np.kron(x, x) for x in gens)
+        dense = np.zeros((dim * dim + 1,) * 2, dtype=complex)
+        dense[idx[:, :, None], idx[:, None, :]] = blocks
+        keep = np.sort(entries)
+        assert np.abs(dense[np.ix_(keep, keep)] - full[np.ix_(keep, keep)]).max(
+            initial=0.0) <= 1e-15
+        # the reachable entries feed nothing outside them
+        rest = np.setdiff1d(np.arange(dim * dim), keep)
+        assert not full[np.ix_(rest, keep)].any()
 
     def test_each_key_gets_its_own_block(self, kaon, bmeson, rng):
         single = embed_surviving(random_density(rng))
