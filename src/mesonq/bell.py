@@ -26,11 +26,11 @@ from .core import (
     k1_state, kl_state, ks_state, _entries, _require_finite, _require_hermitian,
 )
 from .effective import (
-    _amplitudes, _checked_bloch, _kron, _pair_expectation, _propagate, _rank_one,
+    _amplitudes, _amplitudes_at, _checked_bloch, _kron, _pair_expectation, _rank_one,
     effective_operator,  # noqa: F401 (bench/selftest.py traces this binding)
 )
 from .evolution import singlet_state, surviving_pair
-from .uncertainty import bloch_mu_bound
+from .uncertainty import _axis_bound
 
 __all__ = [
     "DEFAULT_SEED", "CLASSICAL_BOUND", "TSIRELSON_BOUND",
@@ -79,9 +79,14 @@ def _questions(s: BellSetting) -> tuple[tuple[float, ...], tuple[Quasispin, ...]
 
 
 def _detection_times(times) -> np.ndarray:
-    """Rows (t_n, t_m, t_n', t_m') as an (n, 4) array, finite and >= 0."""
+    """Rows (t_n, t_m, t_n', t_m') as an (n, 4) array, finite and >= 0.
+
+    The array is checked as a whole; a failing column is named only on the
+    way to the error.
+    """
     times = np.asarray(times, dtype=float)
-    _require_finite(**dict(zip(_TIME_NAMES, times.T)))
+    if not np.isfinite(times).all():
+        _require_finite(**dict(zip(_TIME_NAMES, times.T)))
     if (times < 0.0).any():
         raise ValueError("detection times must be nonnegative")
     return times
@@ -91,11 +96,13 @@ def _observables(times, quasispins: tuple[Quasispin, ...], params: MesonParams,
                  cp_mode: bool) -> tuple[np.ndarray, np.ndarray]:
     """Stacked amplitudes w at four times (floats or grid columns), and 2|w><w| - 1.
 
-    One _propagate call carries all four, on the (4,) times or (4, n) columns.
+    One _amplitudes_at call carries all four, on the (4,) times or (4, n)
+    columns.  The times are already checked: a BellSetting checks its own,
+    and scan_bell its grid.
     """
     times = np.asarray(times, dtype=float)
     amps = np.array([_amplitudes(q, params, cp_mode) for q in quasispins])
-    w = _propagate(amps.reshape(4, *(1,) * (times.ndim - 1), 2), times, params)
+    w = _amplitudes_at(amps.reshape(4, *(1,) * (times.ndim - 1), 2), times, params)
     return w, _rank_one(w)
 
 
@@ -131,8 +138,8 @@ def _summand_bound(n_n: np.ndarray, n_np: np.ndarray, n_m: np.ndarray,
     what happens at t = 0 when both B questions coincide.
     """
     b = np.array([n_m - n_mp, n_m + n_mp])
-    gap = 2.0 * np.linalg.norm(b, axis=-1).min(axis=0)
-    bound = bloch_mu_bound(np.array([n_n, b[0]]), np.array([n_np, b[1]]))[0]
+    gap = 2.0 * np.sqrt((b * b).sum(axis=-1)).min(axis=0)
+    bound = _axis_bound(np.array([[n_n, b[0]], [n_np, b[1]]]))[0]
     return np.where(gap <= _SUMMAND_GAP_TOL, 0.0, bound.sum(axis=0))
 
 
@@ -140,12 +147,12 @@ def _bell_rows(times, quasispins: tuple[Quasispin, ...], params: MesonParams,
                cp_mode: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """lambda_min, lambda_max and summand_mu_bound for each row of times.
 
-    times is an (n, 4) array of detection times (t_n, t_m, t_n', t_m') for
-    the quasispins (k_n, k_m, k_n', k_m').  The observables are stacked over
+    times is an (n, 4) array of checked detection times (t_n, t_m, t_n', t_m')
+    for the quasispins (k_n, k_m, k_n', k_m').  The observables are stacked over
     the rows, and one eigvalsh call on the (n, 4, 4) witness stack gives the
     extremal eigenvalues; the summand bound comes from checked Bloch vectors.
     """
-    w, o = _observables(_detection_times(times).T, quasispins, params, cp_mode)
+    w, o = _observables(times.T, quasispins, params, cp_mode)
     bell = _witness(*o)
     _require_hermitian(bell)
     vals = np.linalg.eigvalsh(bell)
@@ -159,7 +166,7 @@ def bell_bounds(s: BellSetting, params: MesonParams) -> BellReport:
     The one-row case of the batched computation behind scan_bell.
     """
     times, quasispins = _questions(s)
-    lam_min, lam_max, mu = _bell_rows([times], quasispins, params, s.cp_mode)
+    lam_min, lam_max, mu = _bell_rows(np.array([times]), quasispins, params, s.cp_mode)
     return BellReport(lambda_min=float(lam_min[0]), lambda_max=float(lam_max[0]),
                       summand_mu_bound=float(mu[0]))
 
@@ -259,7 +266,7 @@ def scan_bell(policy: str, t_grid, params: MesonParams,
     if (np.diff(grid) < 0.0).any():
         raise ValueError("time grid must be sorted ascending")
     times = np.stack(np.broadcast_arrays(*TIME_POLICIES[policy](grid)), axis=-1)
-    return BellReport(*_bell_rows(times, quasispins, params, cp_mode))
+    return BellReport(*_bell_rows(_detection_times(times), quasispins, params, cp_mode))
 
 
 @functools.lru_cache(maxsize=1)

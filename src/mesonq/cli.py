@@ -207,7 +207,11 @@ def _grid(args, params, default=(0.0, 6.0, 601)) -> np.ndarray:
     if not math.isfinite((t_max - t_min) * scale):
         raise ValueError(f"--t-min/--t-max span must be finite in dm units, "
                          f"got {t_min} to {t_max}")
-    return np.linspace(t_min, t_max, steps) * scale
+    grid = np.linspace(t_min, t_max, steps) * scale
+    if not (np.diff(grid) > 0.0).all():
+        raise ValueError(f"--t-min/--t-max span {t_min} to {t_max} is too narrow "
+                         f"for {steps} distinct times")
+    return grid
 
 
 def _refuse(args, mode: str, *keys: str) -> None:

@@ -21,7 +21,7 @@ __all__ = [
     "Quasispin", "KS_DIRECTION", "KL_DIRECTION", "K0BAR_DIRECTION",
     "hermitian_eigen",
     "CpBasisData", "cp_basis_data",
-    "k0bar_state", "k1_state", "k2_state", "ks_state", "kl_state",
+    "k0bar_state", "k1_state", "ks_state", "kl_state",
     "mass_to_strangeness_matrix", "CP_TO_STRANGENESS",
 ]
 
@@ -200,7 +200,6 @@ class CpBasisData:
     p: complex
     q: complex
     norm_n: float
-    epsilon: complex
     delta: float
 
 
@@ -212,8 +211,7 @@ def cp_basis_data(delta: float) -> CpBasisData:
     p = 1.0 + eps
     q = 1.0 - eps
     return CpBasisData(p=complex(p), q=complex(q),
-                       norm_n=math.sqrt(abs(p) ** 2 + abs(q) ** 2),
-                       epsilon=complex(eps), delta=delta)
+                       norm_n=math.sqrt(abs(p) ** 2 + abs(q) ** 2), delta=delta)
 
 
 def k0bar_state() -> np.ndarray:
@@ -223,10 +221,6 @@ def k0bar_state() -> np.ndarray:
 def k1_state() -> np.ndarray:
     """CP-plus eigenstate (K0 - K0bar)/sqrt(2); equals K_S at delta = 0."""
     return np.array([1.0, -1.0], dtype=complex) / math.sqrt(2.0)
-
-
-def k2_state() -> np.ndarray:
-    return np.array([1.0, 1.0], dtype=complex) / math.sqrt(2.0)
 
 
 def ks_state(cp: CpBasisData) -> np.ndarray:
@@ -243,4 +237,5 @@ def mass_to_strangeness_matrix(cp: CpBasisData) -> np.ndarray:
     return np.column_stack([ks_state(cp), kl_state(cp)])
 
 
-CP_TO_STRANGENESS = np.column_stack([k1_state(), k2_state()])
+# columns: the CP eigenstates K1 = (K0 - K0bar)/sqrt(2) and K2 = (K0 + K0bar)/sqrt(2)
+CP_TO_STRANGENESS = np.column_stack([k1_state(), np.array([1.0, 1.0]) / math.sqrt(2.0)])

@@ -40,7 +40,8 @@ __all__ = [
 _DEGENERACY_TOL = 1e-14
 _GAP_TOL = 1e-12
 _RESIDUAL_TOL = 1e-10
-_PAULI_STACK = np.array(PAULI)
+# -1, sigma_x, sigma_y, sigma_z flattened: (n0, n) @ it is -n0*1 + n.sigma
+_BLOCH_BASIS = np.array([-ID2, *PAULI]).reshape(4, 4)
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +76,10 @@ def _propagate(amps, t, params: MesonParams) -> np.ndarray:
     Each picks up its decay factor e^{-Gamma_i t/2}, and the K_L amplitude
     also the oscillation phase e^{i t}.  t is a float or an array of times;
     the result has shape t.shape + (2,), time on the leading axes, and each
-    row has the bits of the float result at its time.
+    row has the bits of the float result at its time.  This is the checked
+    entry: t must be finite and >= 0.  An array t is checked once here and
+    handed to _amplitudes_at, which callers holding checked times use
+    directly.
     """
     if isinstance(t, (float, int)):
         _require_finite(t=t)
@@ -87,6 +91,11 @@ def _propagate(amps, t, params: MesonParams) -> np.ndarray:
     _require_finite(t=t)
     if (t < 0.0).any():
         raise ValueError("observables live at detection times t >= 0")
+    return _amplitudes_at(amps, t, params)
+
+
+def _amplitudes_at(amps, t: np.ndarray, params: MesonParams) -> np.ndarray:
+    """_propagate on a float array t already checked finite and >= 0."""
     # numpy's complex exp is libm's exp bit for bit, while its vectorized
     # real exp may differ in the last bit; the products are written out
     # because its vectorized complex multiply fuses ac - bd.  A huge width
@@ -110,14 +119,17 @@ def _rank_one(w: np.ndarray) -> np.ndarray:
     return 2.0 * (w[..., :, None] * w.conj()[..., None, :]) - ID2
 
 
-def _bloch(w: np.ndarray) -> tuple[float, np.ndarray]:
-    """Bloch data (n0, n) of 2|w><w| - 1, on the last axis of w; |n| = |w|^2."""
+def _bloch(w: np.ndarray) -> np.ndarray:
+    """Bloch data (n0, n1, n2, n3) of 2|w><w| - 1 = -n0*1 + n.sigma.
+
+    Acts on the last axis of w and returns them on the last axis; |n| = |w|^2.
+    """
     # array loops also for one w: numpy's scalar abs and complex multiply may
     # differ from them in the last bit, and a float time must give the bits
     # of its grid row
     a_s, a_l = (np.abs(w) ** 2).T
     c = (2.0 * w[..., :1].conjugate() * w[..., 1:]).T[0]
-    return (1.0 - (a_s + a_l)).T, np.array([c.real, c.imag, a_s - a_l]).T
+    return np.array([1.0 - (a_s + a_l), c.real, c.imag, a_s - a_l]).T
 
 
 def _checked_bloch(w: np.ndarray, o: np.ndarray) -> np.ndarray:
@@ -125,11 +137,10 @@ def _checked_bloch(w: np.ndarray, o: np.ndarray) -> np.ndarray:
 
     w and o carry time on their leading axes.
     """
-    n0, n = _bloch(w)
-    rebuilt = np.tensordot(n, _PAULI_STACK, axes=1) - np.multiply.outer(n0, ID2)
-    if not (abs(o - rebuilt) <= _RESIDUAL_TOL).all():
+    b = _bloch(w)
+    if not (abs(o - (b @ _BLOCH_BASIS).reshape(o.shape)) <= _RESIDUAL_TOL).all():
         raise AssertionError("Bloch vector failed the residual check")
-    return n
+    return b[..., 1:]
 
 
 def _pair(w: np.ndarray, basis: str) -> EigenPair:
@@ -138,7 +149,8 @@ def _pair(w: np.ndarray, basis: str) -> EigenPair:
     Once |w|^2 falls below the degeneracy tolerance both eigenvalues are -1
     and the standard basis is returned.
     """
-    norm = float(np.linalg.norm(w))
+    # the sum np.linalg.norm forms, without its dispatch
+    norm = math.sqrt(w.real.dot(w.real) + w.imag.dot(w.imag))
     weight = norm * norm
     if weight < _DEGENERACY_TOL:
         return EigenPair(lambda1=-1.0, chi1=np.array([1.0 + 0j, 0.0]),
@@ -172,7 +184,7 @@ def _observable(q: Quasispin, t: float, params: MesonParams,
                 cp_corrected: bool) -> ObservableMatrix:
     """2|w><w| - 1 of the amplitudes of q propagated to t, with its Bloch data."""
     w = _propagate(_amplitudes(q, params, cp_corrected), t, params)
-    return ObservableMatrix(matrix=_rank_one(w), bloch=_bloch(w)[1], amplitudes=w,
+    return ObservableMatrix(matrix=_rank_one(w), bloch=_bloch(w)[..., 1:], amplitudes=w,
                             quasispin=q, time=t, params=params,
                             cp_corrected=cp_corrected,
                             basis="cp" if cp_corrected else "mass")

@@ -36,6 +36,13 @@ _MASK4[2, 2] = _MASK4[3, 3] = 1.0
 _MASK16 = np.kron(_MASK4, _MASK4)
 
 
+def _require_hermitian_state(m: np.ndarray, name: str) -> None:
+    """Raise unless m is Hermitian to 1e-12 of its scale max(1, max |m_ij|)."""
+    gap = np.abs(m - m.conj().T).max()  # the scale is needed only above 1e-12
+    if gap > _HERM_TOL and gap > _HERM_TOL * np.abs(m).max():
+        raise ValueError(f"{name} must be hermitian")
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Hermitian PSD state on 2, 4 or 16 dimensions."""
@@ -44,8 +51,7 @@ class DensityMatrix:
 
     def __post_init__(self):
         m = _entries(self.entries, "density matrix", (2, 2), (4, 4), (16, 16))
-        if np.abs(m - m.conj().T).max() > _HERM_TOL * max(1.0, np.abs(m).max()):
-            raise ValueError("density matrix must be hermitian")
+        _require_hermitian_state(m, "density matrix")
         object.__setattr__(self, "entries", m)
 
     @property
@@ -55,18 +61,6 @@ class DensityMatrix:
     @property
     def trace(self) -> float:
         return float(np.trace(self.entries).real)
-
-    def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.entries).min())
-
-    def surviving_trace(self) -> float:
-        """Probability that nothing has decayed yet."""
-        m = self.entries
-        if self.dim == 4:
-            m = m[:2, :2]
-        elif self.dim == 16:
-            m = surviving_pair(m)
-        return float(np.trace(m).real)
 
 
 def pure_density(v: np.ndarray) -> DensityMatrix:
@@ -136,9 +130,14 @@ def evolve_bipartite(rho, t: float, params: MesonParams) -> DensityMatrix:
     if t < 0.0:
         raise ValueError("closed form is valid forward in time only")
     m = _entries(rho, "pair state", (16, 16))
+    return DensityMatrix(_pair_map(m, t, params).reshape(16, 16))
+
+
+def _pair_map(m: np.ndarray, t: float, params: MesonParams) -> np.ndarray:
+    """evolve_bipartite on checked 16x16 entries m, as rho[a, b, c, d]."""
     r = _closed_map4(m.reshape(4, 4, 4, 4).transpose(0, 2, 1, 3), t, params)
     r = _closed_map4(r.transpose(2, 3, 0, 1), t, params)
-    return DensityMatrix(r.transpose(2, 0, 3, 1).reshape(16, 16))
+    return r.transpose(2, 0, 3, 1)
 
 
 def _generators(gamma_s: float, gamma_l: float, dim: int, summed: bool):
@@ -293,8 +292,10 @@ def lindblad_integrate(rho, t: float, params: MesonParams, dt: float = 1e-3,
     generator variant, support), and kept for the last 8 such keys; P and
     everything after it are computed on every call.
     The step-doubling error estimate (P(step) against two half steps) and the
-    trace drift must stay within 1e-6.  Unmeasurable final coherences are
-    zeroed on output, matching the closed form.
+    trace drift must stay within 1e-6, and P must be finite: a width so large
+    that P or the estimate overflows fails the error check without a numpy
+    warning.  Unmeasurable final coherences are zeroed on output, matching
+    the closed form.
     """
     _require_finite(t=t, dt=dt)
     if dt <= 0.0:
@@ -303,21 +304,23 @@ def lindblad_integrate(rho, t: float, params: MesonParams, dt: float = 1e-3,
         raise ValueError("integration runs forward in time only")
     m = _entries(rho, "state", (4, 4), (16, 16))
     dim = m.shape[0]
-    idx, lv = _liouvillian_block(params.gamma_s, params.gamma_l, dim,
-                                 summed_generator, (m != 0).tobytes())
-    # padded slots read and write the extra last entry, a zero
-    v0 = np.append(m.reshape(-1), 0.0)[idx][..., None]
-
     steps = max(1, math.ceil(t / dt))
     step = t / steps
-    prop = _rk4_propagator(step * lv)
-    if step > 0.0:
-        # the generator conserves the trace identically, so a coarse step
-        # shows up in the entries, not the trace: estimate it by doubling
-        halves = _rk4_step(lv, _rk4_step(lv, v0, 0.5 * step), 0.5 * step)
-        err = np.abs(prop @ v0 - halves).max(initial=0.0) * steps
-        if not err <= _STEP_ERROR_LIMIT:
-            raise ValueError("integration error above 1e-6: reduce dt")
+    # a huge width overflows L, P or the estimate; a non-finite P or estimate
+    # fails the error check below
+    with np.errstate(over="ignore", invalid="ignore"):
+        idx, lv = _liouvillian_block(params.gamma_s, params.gamma_l, dim,
+                                     summed_generator, (m != 0).tobytes())
+        # padded slots read and write the extra last entry, a zero
+        v0 = np.append(m.reshape(-1), 0.0)[idx][..., None]
+        prop = _rk4_propagator(step * lv)
+        if step > 0.0:
+            # the generator conserves the trace identically, so a coarse step
+            # shows up in the entries, not the trace: estimate it by doubling
+            halves = _rk4_step(lv, _rk4_step(lv, v0, 0.5 * step), 0.5 * step)
+            err = np.abs(prop @ v0 - halves).max(initial=0.0) * steps
+    if not np.isfinite(prop).all() or step > 0.0 and not err <= _STEP_ERROR_LIMIT:
+        raise ValueError("integration error above 1e-6: reduce dt")
     r = np.zeros(dim * dim + 1, dtype=complex)
     r[idx] = _apply_steps(prop, v0, steps)[..., 0]
     r = r[:-1].reshape(dim, dim)
@@ -366,10 +369,6 @@ class JointOutcome:
     def expectation(self) -> float:
         return self.p_yy + self.p_nn - self.p_yn - self.p_ny
 
-    @property
-    def total(self) -> float:
-        return self.p_yy + self.p_yn + self.p_ny + self.p_nn
-
 
 def joint_probabilities(rho, k_n: Quasispin, t_n: float, k_m: Quasispin,
                         t_m: float, params: MesonParams) -> JointOutcome:
@@ -377,21 +376,22 @@ def joint_probabilities(rho, k_n: Quasispin, t_n: float, k_m: Quasispin,
 
     The pair evolves to t_m, side B is projected onto |k_m> or its complement
     (the complement includes everything decayed), side B is traced out, and
-    the leftover single particle runs on to t_n.  Requires t_n >= t_m >= 0.
+    the leftover single particle runs on to t_n.  Requires t_n >= t_m >= 0
+    and a finite Hermitian 16x16 pair state, checked once here; the pair map
+    then runs on the checked entries, and the yes and no branches of side B
+    run as one stack on the trailing axis.
     """
     _require_finite(t_n=t_n, t_m=t_m)
     if t_m < 0.0 or t_n < t_m:
         raise ValueError("measurement ordering requires t_n >= t_m >= 0")
     m = _entries(rho, "pair state", (16, 16))
-    r = evolve_bipartite(m, t_m, params).entries.reshape(4, 4, 4, 4)
+    _require_hermitian_state(m, "pair state")
     p_m = quasispin_projector4(k_m)
-    p_n = quasispin_projector4(k_n)
-    probs = {}
-    for yes_m, x_b in ((True, p_m), (False, np.eye(4) - p_m)):
-        sigma = np.einsum("bq,aqcb->ac", x_b, r)  # Tr_B[(1 x X) rho]
-        sigma = _closed_map4(0.5 * (sigma + sigma.conj().T), t_n - t_m, params)
-        p_yes = float(np.trace(p_n @ sigma).real)
-        probs[(True, yes_m)] = p_yes
-        probs[(False, yes_m)] = float(np.trace(sigma).real) - p_yes
-    return JointOutcome(p_yy=probs[(True, True)], p_yn=probs[(True, False)],
-                        p_ny=probs[(False, True)], p_nn=probs[(False, False)])
+    # Tr_B[(1 x X) rho] for X = P_m and 1 - P_m, stacked on the last axis
+    sigma = np.einsum("ybq,aqcb->acy", np.array([p_m, np.eye(4) - p_m]),
+                      _pair_map(m, t_m, params))
+    sigma = _closed_map4(0.5 * (sigma + sigma.conj().transpose(1, 0, 2)),
+                         t_n - t_m, params)
+    p_yes = np.einsum("ij,jiy->y", quasispin_projector4(k_n), sigma).real
+    (p_yy, p_yn), (p_ny, p_nn) = p_yes.tolist(), (np.trace(sigma).real - p_yes).tolist()
+    return JointOutcome(p_yy=p_yy, p_yn=p_yn, p_ny=p_ny, p_nn=p_nn)

@@ -52,10 +52,9 @@ def _max_overlap(pair1: EigenPair, pair2: EigenPair) -> tuple[float, tuple]:
     """
     if pair1.basis != pair2.basis:
         raise ValueError("eigenvector pairs must share a basis")
-    for pair in (pair1, pair2):
-        for chi in (pair.chi1, pair.chi2):
-            if not abs(np.linalg.norm(chi) - 1.0) <= 1e-10:
-                raise ValueError("eigenvectors must be normalized")
+    chis = np.array([pair1.chi1, pair1.chi2, pair2.chi1, pair2.chi2])
+    if not (abs(np.sqrt((chis * chis.conj()).real.sum(axis=-1)) - 1.0) <= 1e-10).all():
+        raise ValueError("eigenvectors must be normalized")
     best, arg = -1.0, (1, 1)
     for i, u in enumerate((pair1.chi1, pair1.chi2), start=1):
         for j, v in enumerate((pair2.chi1, pair2.chi2), start=1):
@@ -87,15 +86,20 @@ def bloch_mu_bound(n_a: np.ndarray, n_b: np.ndarray):
     free of cancellation, and the bound is -log2(1 - s^2).  argmax_i is 1;
     argmax_j is 2 only where d < 0 and (1, 2) beats (1, 1) by over 1e-12.
     """
-    n = np.array(np.broadcast_arrays(n_a, n_b))
+    bound, s2, opposed = _axis_bound(np.array(np.broadcast_arrays(n_a, n_b)))
+    best = np.sqrt(1.0 - s2)
+    argmax_j = np.where(opposed & (best > np.sqrt(s2) + _TIE_TOL), 2, 1)
+    return bound, best, argmax_j
+
+
+def _axis_bound(n: np.ndarray):
+    """(bound, s^2, d < 0) of bloch_mu_bound for the stacked rows n[0] and n[1]."""
     length = np.sqrt((n * n).sum(axis=-1, keepdims=True))
     short = length < _DEGENERACY_TOL
     a, b = np.where(short, _Z_AXIS, n / np.where(short, 1.0, length))
     plus, minus = ((a + b) ** 2).sum(axis=-1), ((a - b) ** 2).sum(axis=-1)
     s2 = 0.25 * np.minimum(plus, minus)
-    best = np.sqrt(1.0 - s2)
-    argmax_j = np.where((plus < minus) & (best > np.sqrt(s2) + _TIE_TOL), 2, 1)
-    return -np.log1p(-s2) / math.log(2.0), best, argmax_j
+    return -np.log1p(-s2) / math.log(2.0), s2, plus < minus
 
 
 def cp_overlap_ks(t_n: float, params: MesonParams) -> float:

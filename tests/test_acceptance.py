@@ -18,7 +18,7 @@ from mesonq import (
 from mesonq.bell import BellSetting
 from mesonq.evolution import DensityMatrix, embed_surviving
 
-from conftest import random_density, random_pure_state
+from conftest import min_eigenvalue, random_density, random_pure_state
 
 KAON = kaon_defaults()
 SEED = 0xB311
@@ -176,7 +176,7 @@ def test_criterion_10_invariant_suites():
         for t in (0.1, 0.5, 2.0, 10.0, 20.0):
             out = evolve_single_closed(rho, t, KAON)
             worst_trace = max(worst_trace, abs(out.trace - 1.0))
-            worst_psd = max(worst_psd, -out.min_eigenvalue())
+            worst_psd = max(worst_psd, -min_eigenvalue(out))
     if worst_trace > 1e-10:
         failures.append(f"trace drift {worst_trace:.2e}")
     if worst_psd > 1e-9:

@@ -292,9 +292,24 @@ class TestLibraryErrors:
          "mesonq: error: --out /nonexistent/x.csv: No such file or directory\n"),
         (["bell", "--fig", "4b", "--steps", "3", "--out", "."],
          "mesonq: error: --out .: Is a directory\n"),
+        # np.linspace repeats times across a span narrower than steps ulps
+        (["uncertainty", "--fig", "1a", "--t-min", "1", "--t-max",
+          "1.0000000000000002", "--steps", "5", "--out", "-"],
+         "span 1.0 to 1.0000000000000002 is too narrow for 5 distinct times"),
+        (["bell", "--steps", "3", "--t-min", "1", "--t-max", "1.0000000000000002"],
+         "too narrow for 3 distinct times"),
+        # the RK4 propagator overflows; the oracle fails its error check silently
+        (["verify", "--trials", "1", "--gamma-s", "1e60", "--gamma-l", "2"],
+         "integration error above 1e-6: reduce dt"),
+        (["verify", "--trials", "1", "--gamma-s", "1e200", "--gamma-l", "2"],
+         "integration error above 1e-6: reduce dt"),
+        (["verify", "--trials", "1", "--gamma-s", "1e308", "--gamma-l", "2"],
+         "integration error above 1e-6: reduce dt"),
     ], ids=["alpha", "cp-delta", "nan-width", "negative-time", "inf-t-max",
             "fig-inf-t-max", "nan-t-min", "tau_s-overflow", "span-overflow",
-            "negative-seed", "out-missing-dir", "out-is-dir"])
+            "negative-seed", "out-missing-dir", "out-is-dir", "sub-ulp-span",
+            "bell-sub-ulp-span", "verify-width-1e60", "verify-width-1e200",
+            "verify-width-1e308"])
     def test_value_error_exits_1_with_one_line(self, capsys, argv, message):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -158,14 +158,15 @@ class TestHermitianEigen:
 class TestCpBasisData:
     def test_zero_delta(self):
         cp = cp_basis_data(0.0)
-        assert cp.epsilon == 0.0
         assert cp.p == 1.0 and cp.q == 1.0
         assert cp.norm_n == pytest.approx(math.sqrt(2.0))
 
     def test_epsilon_inverts_delta(self):
         delta = 3.322e-3
+        # the stable form of (1 - sqrt(1 - delta^2))/delta, as cp_basis_data takes it
+        eps = delta / (1.0 + math.sqrt(1.0 - delta * delta))
         cp = cp_basis_data(delta)
-        eps = cp.epsilon.real
+        assert (cp.p, cp.q) == (1.0 + eps, 1.0 - eps)
         assert 2.0 * eps / (1.0 + eps * eps) == pytest.approx(delta, abs=1e-16)
 
         # independent root of 2e/(1+e^2) = delta by bisection

@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 
 from mesonq import (
-    K0BAR_DIRECTION, Quasispin, bipartite_expectation, cp_basis_data,
-    effective_operator, evolve_bipartite, evolve_single_closed,
-    joint_probabilities, lindblad_integrate, singlet_state,
+    K0BAR_DIRECTION, Quasispin, bipartite_expectation, bmeson_defaults,
+    cp_basis_data, effective_operator, evolve_bipartite, evolve_single_closed,
+    joint_probabilities, kaon_defaults, lindblad_integrate, singlet_state,
 )
 from mesonq.core import MesonParams, mass_to_strangeness_matrix
 from mesonq.evolution import (
-    DensityMatrix, embed_surviving, pure_density, singlet_vector,
-    surviving_pair, _liouvillian_block, _rk4_propagator, _rk4_step,
+    DensityMatrix, embed_surviving, pure_density, quasispin_projector4,
+    singlet_vector, surviving_pair, _closed_map4, _liouvillian_block,
+    _rk4_propagator, _rk4_step,
 )
 
-from conftest import random_density, random_pure_state
+from conftest import (
+    min_eigenvalue, random_density, random_pure_state, surviving_trace,
+)
 
 
 def surviving_pair_block(rho16):
@@ -116,11 +119,11 @@ class TestClosedForm:
         for t in np.arange(0.0, 20.0, 0.25):
             out = evolve_single_closed(rho, float(t), kaon)
             assert abs(out.trace - 1.0) < 1e-12
-            assert out.min_eigenvalue() > -1e-10
+            assert min_eigenvalue(out) > -1e-10
 
     def test_surviving_trace_monotone(self, kaon, rng):
         rho = embed_surviving(random_density(rng))
-        traces = [evolve_single_closed(rho, float(t), kaon).surviving_trace()
+        traces = [surviving_trace(evolve_single_closed(rho, float(t), kaon))
                   for t in np.arange(0.0, 5.0, 0.01)]
         assert all(b <= a + 1e-12 for a, b in zip(traces, traces[1:]))
 
@@ -148,7 +151,7 @@ class TestLindbladIntegrator:
     def test_everything_decays_eventually(self, bmeson):
         rho = embed_surviving(0.5 * np.eye(2, dtype=complex))
         out = lindblad_integrate(rho, 20.0, bmeson, dt=2e-3)
-        assert out.surviving_trace() < 1e-10
+        assert surviving_trace(out) < 1e-10
         assert out.trace == pytest.approx(1.0, abs=1e-9)
 
     def test_trace_conservation_rate(self, kaon, rng):
@@ -162,6 +165,19 @@ class TestLindbladIntegrator:
             lindblad_integrate(rho, 5.0, bmeson, dt=0.5)
         with pytest.raises(ValueError, match="reduce dt"):
             lindblad_integrate(singlet_state(), 5.0, bmeson, dt=0.5)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("gamma_s", [1e60, 1e200, 1e308])
+    @pytest.mark.parametrize("dim,summed", [(4, False), (16, False), (16, True)],
+                             ids=["single", "pair", "pair-summed"])
+    def test_huge_width_fails_the_error_check_without_warning(self, gamma_s,
+                                                              dim, summed):
+        # step * L overflows P and the step-doubling estimate
+        params = MesonParams(gamma_s=gamma_s, gamma_l=2.0)
+        rho = (embed_surviving(np.diag([1.0, 0.0])) if dim == 4
+               else singlet_state())
+        with pytest.raises(ValueError, match="integration error above 1e-6"):
+            lindblad_integrate(rho, 0.5, params, summed_generator=summed)
 
     def test_vector_step_matches_propagator(self, rng):
         # the step-doubling estimate applies the half step to vectors
@@ -395,7 +411,7 @@ class TestBipartite:
         for t in (0.0, 0.5, 2.0, 10.0, 20.0):
             out = evolve_bipartite(psi, t, kaon)
             assert abs(out.trace - 1.0) < 1e-10
-            assert out.min_eigenvalue() > -1e-9
+            assert min_eigenvalue(out) > -1e-9
 
     def test_markov_composition(self, kaon):
         psi = singlet_state()
@@ -451,7 +467,47 @@ class TestSinglet:
         assert np.abs(w - phase * want).max() < 1e-12
 
 
+def joint_reference(rho, k_n, t_n, k_m, t_m, params):
+    """(p_yy, p_yn, p_ny, p_nn) with side B's yes and no branches one at a time.
+
+    The pair runs to t_m through the public evolve_bipartite; each branch
+    projects side B, traces it out and runs side A on to t_n.
+    """
+    r = evolve_bipartite(rho, t_m, params).entries.reshape(4, 4, 4, 4)
+    p_m = quasispin_projector4(k_m)
+    p_n = quasispin_projector4(k_n)
+    probs = {}
+    for yes_m, x_b in ((True, p_m), (False, np.eye(4) - p_m)):
+        sigma = np.einsum("bq,aqcb->ac", x_b, r)  # Tr_B[(1 x X) rho]
+        sigma = _closed_map4(0.5 * (sigma + sigma.conj().T), t_n - t_m, params)
+        p_yes = float(np.trace(p_n @ sigma).real)
+        probs[(True, yes_m)] = p_yes
+        probs[(False, yes_m)] = float(np.trace(sigma).real) - p_yes
+    return (probs[(True, True)], probs[(True, False)],
+            probs[(False, True)], probs[(False, False)])
+
+
 class TestJointProbabilities:
+    @pytest.mark.parametrize("params", [kaon_defaults(), bmeson_defaults()],
+                             ids=lambda p: p.label)
+    def test_matches_per_branch_reference(self, params, rng):
+        # random full and surviving-only pair states; equal times, and sides
+        # decayed to exactly nothing (every e^{-Gamma t} underflows at t = 1e6)
+        states = ([random_density(rng, 16) for _ in range(10)]
+                  + [surviving_pair_density(rng) for _ in range(10)]
+                  + [singlet_state()])
+        for rho in states:
+            for _ in range(6):
+                q_n, q_m = (Quasispin(rng.uniform(0, math.pi),
+                                      rng.uniform(0, 2 * math.pi)) for _ in range(2))
+                t_m = float(rng.uniform(0.0, 3.0))
+                for t_n, t_m in ((t_m + float(rng.uniform(0.0, 3.0)), t_m),
+                                 (t_m, t_m), (t_m + 1e6, t_m), (1e6, 1e6)):
+                    jo = joint_probabilities(rho, q_n, t_n, q_m, t_m, params)
+                    want = joint_reference(rho, q_n, t_n, q_m, t_m, params)
+                    got = (jo.p_yy, jo.p_yn, jo.p_ny, jo.p_nn)
+                    assert np.abs(np.subtract(got, want)).max() <= 1e-15
+
     def test_perfect_anticorrelation_at_zero(self, kaon):
         jo = joint_probabilities(singlet_state(), K0BAR_DIRECTION, 0.0,
                                  K0BAR_DIRECTION, 0.0, kaon)
@@ -467,7 +523,7 @@ class TestJointProbabilities:
             q2 = Quasispin(rng.uniform(0, math.pi), rng.uniform(0, 2 * math.pi))
             t_m = rng.uniform(0, 2)
             jo = joint_probabilities(psi, q1, t_m + rng.uniform(0, 2), q2, t_m, kaon)
-            assert jo.total == pytest.approx(1.0, abs=1e-10)
+            assert jo.p_yy + jo.p_yn + jo.p_ny + jo.p_nn == pytest.approx(1.0, abs=1e-10)
             for p in (jo.p_yy, jo.p_yn, jo.p_ny, jo.p_nn):
                 assert -1e-12 <= p <= 1.0 + 1e-12
 
@@ -537,4 +593,4 @@ class TestDensityMatrix:
         v = random_pure_state(rng, 4)
         rho = pure_density(v)
         assert rho.trace == pytest.approx(1.0, abs=1e-12)
-        assert rho.min_eigenvalue() > -1e-12
+        assert min_eigenvalue(rho) > -1e-12
