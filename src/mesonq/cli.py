@@ -241,10 +241,7 @@ def cmd_constants(args) -> int:
     print(f"delta={params.delta:.4g}")
     print(f"gamma_mean={params.gamma_mean:.11e}")
     print(f"delta_gamma={params.delta_gamma:.11e}")
-    if params.gamma_s > 0.0:
-        print(f"tau_s_dm_units={params.tau_s:.11e}")
-    else:
-        print("tau_s_dm_units=inf")
+    print(f"tau_s_dm_units={params.tau_s:.11e}")
     return 0
 
 

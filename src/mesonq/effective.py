@@ -218,26 +218,13 @@ def _mass_frame(delta: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return frame
 
 
-def _quasispin_strangeness(q: Quasispin, delta: float, q_basis: str) -> np.ndarray:
-    """Quasispin (alpha, phi) realized as a state in strangeness coordinates."""
-    amps = q.state_mass()
-    if q_basis == "mass":
-        return _mass_frame(delta)[2] @ amps
-    if q_basis == "cp":
-        return CP_TO_STRANGENESS @ amps
-    raise ValueError(f"unknown quasispin basis: {q_basis!r}")
-
-
-def cp_weights(q: Quasispin, params: MesonParams,
-               q_basis: str = "mass") -> tuple[complex, complex, float]:
+def cp_weights(q: Quasispin, params: MesonParams) -> tuple[complex, complex, float]:
     """Overlaps (<K_S|k>, <K_L|k>) and their weight sum |.|^2 + |.|^2.
 
-    For a quasispin parameterized in the CP basis the weights sum to
-    1 + delta sin(alpha) cos(phi), not to one: the mass eigenstates are
-    non-orthogonal.
+    The quasispin angles refer to the mass basis.
     """
-    ks, kl, _ = _mass_frame(params.delta)
-    k = _quasispin_strangeness(q, params.delta, q_basis)
+    ks, kl, to_strangeness = _mass_frame(params.delta)
+    k = to_strangeness @ q.state_mass()
     amp_s = complex(np.vdot(ks, k))
     amp_l = complex(np.vdot(kl, k))
     return amp_s, amp_l, abs(amp_s) ** 2 + abs(amp_l) ** 2
@@ -271,16 +258,17 @@ def effective_operator_cp_exact(q: Quasispin, t: float,
     instead of the inverse-basis coefficients; the comparison test documents
     the gap.
     """
-    v = np.linalg.inv(CP_TO_STRANGENESS) @ _mass_frame(params.delta)[2]
+    to_strangeness = _mass_frame(params.delta)[2]
+    v = np.linalg.inv(CP_TO_STRANGENESS) @ to_strangeness
     # oscillation phase on K_L relative to K_S; amplitudes decay as e^{-G t/2}
     d = np.diag(_propagate(np.ones(2), t, params))
     m = v @ d.conj() @ np.linalg.inv(v)
-    k_cp = np.linalg.inv(CP_TO_STRANGENESS) @ _quasispin_strangeness(q, params.delta, "mass")
+    # (M @ a) first: inv(C) @ M @ a associates left and moves the last bits
+    k_cp = np.linalg.inv(CP_TO_STRANGENESS) @ (to_strangeness @ q.state_mass())
     return _rank_one(m.conj().T @ k_cp)
 
 
-def cp_eigenvectors(q: Quasispin, t: float, params: MesonParams,
-                    q_basis: str = "mass") -> EigenPair:
+def cp_eigenvectors(q: Quasispin, t: float, params: MesonParams) -> EigenPair:
     """CP-corrected eigenvector pair, components in the CP basis.
 
     chi1 is the propagated overlap amplitude vector w of cp_weights,
@@ -288,7 +276,7 @@ def cp_eigenvectors(q: Quasispin, t: float, params: MesonParams,
     amplitudes with inverted decay factors.  Both have unit length and are
     exactly orthogonal for every delta and t >= 0; lambda1 = 2|w|^2 - 1.
     """
-    return _pair(_propagate(cp_weights(q, params, q_basis)[:2], t, params), "cp")
+    return _pair(_propagate(cp_weights(q, params)[:2], t, params), "cp")
 
 
 def eigenpair_from_matrix(m: np.ndarray, basis: str = "mass") -> EigenPair:

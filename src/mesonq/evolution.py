@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _HERM_TOL = 1e-12
+_STEP = 1e-3
 _STEP_ERROR_LIMIT = 1e-6
 
 # entries the dynamics can populate: full surviving block + final diagonal
@@ -53,10 +54,6 @@ class DensityMatrix:
         m = _entries(self.entries, "density matrix", (2, 2), (4, 4), (16, 16))
         _require_hermitian_state(m, "density matrix")
         object.__setattr__(self, "entries", m)
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
 
     @property
     def trace(self) -> float:
@@ -246,14 +243,6 @@ def _rk4_propagator(x: np.ndarray) -> np.ndarray:
     return x2 @ (x / 6.0 + x2 / 24.0) + x + 0.5 * x2 + np.eye(x.shape[-1])
 
 
-def _rk4_step(lv: np.ndarray, v: np.ndarray, step: float) -> np.ndarray:
-    """_rk4_propagator(step * lv) @ v by Horner's rule: four matrix-vector products."""
-    u = v
-    for k in (4, 3, 2, 1):
-        u = v + (step / k) * (lv @ u)
-    return u
-
-
 def _apply_steps(prop: np.ndarray, v: np.ndarray, steps: int) -> np.ndarray:
     """prop^steps @ v by right-to-left binary powering.
 
@@ -270,7 +259,7 @@ def _apply_steps(prop: np.ndarray, v: np.ndarray, steps: int) -> np.ndarray:
         prop = prop @ prop
 
 
-def lindblad_integrate(rho, t: float, params: MesonParams, dt: float = 1e-3,
+def lindblad_integrate(rho, t: float, params: MesonParams,
                        summed_generator: bool = False) -> DensityMatrix:
     """Fixed-step RK4 integration of drho/dt = -i[H, rho] - D[rho].
 
@@ -280,31 +269,32 @@ def lindblad_integrate(rho, t: float, params: MesonParams, dt: float = 1e-3,
     default; pass summed_generator=True for the single summed generator, which
     introduces decay cross terms and breaks product factorization).
 
-    The equation is linear, so one RK4 step with step size t / ceil(t / dt) is
-    the fixed matrix P = 1 + x + x^2/2 + x^3/6 + x^4/24, x = step * L, acting
-    on vec(rho).  Only the entries reachable from the support of rho are
-    kept, and L never couples two connected components of its nonzero
-    pattern among them, so P is built per component, as a stack of small
-    blocks, and applied as P^n, n the step count, by binary powering.  A
-    surviving single state has 4 blocks of 2 entries, a surviving pair 16
-    blocks of 4, and a full pair state 144 blocks of at most 4.  The blocks
-    are read off L, never off the closed form, once per (widths, dimension,
-    generator variant, support), and kept for the last 8 such keys; P and
-    everything after it are computed on every call.
-    The step-doubling error estimate (P(step) against two half steps) and the
-    trace drift must stay within 1e-6, and P must be finite: a width so large
-    that P or the estimate overflows fails the error check without a numpy
-    warning.  Unmeasurable final coherences are zeroed on output, matching
-    the closed form.
+    The step is fixed at 1e-3: the equation is linear, so one RK4 step with
+    step size t / ceil(t / 1e-3) is the fixed matrix
+    P = 1 + x + x^2/2 + x^3/6 + x^4/24, x = step * L, acting on vec(rho).
+    Only the entries reachable from the support of rho are kept, and L never
+    couples two connected components of its nonzero pattern among them, so P
+    is built per component, as a stack of small blocks, and applied as P^n,
+    n the step count, by binary powering.  A surviving single state has 4
+    blocks of 2 entries, a surviving pair 16 blocks of 4, and a full pair
+    state 144 blocks of at most 4.  The blocks are read off L, never off the
+    closed form, once per (widths, dimension, generator variant, support),
+    and kept for the last 8 such keys; P and everything after it are
+    computed on every call.
+    The step-doubling error estimate (P against the square of the half-step
+    propagator, on the initial state) and the trace drift must stay within
+    1e-6, and P must be finite.  Widths of a few tens (Delta-m units) fail
+    the error check with one line (the limit falls with t: about 42 for a
+    K_S state at t = 1), and a width so large that P or the estimate
+    overflows fails it without a numpy warning.  Unmeasurable final
+    coherences are zeroed on output, matching the closed form.
     """
-    _require_finite(t=t, dt=dt)
-    if dt <= 0.0:
-        raise ValueError("dt must be positive")
+    _require_finite(t=t)
     if t < 0.0:
         raise ValueError("integration runs forward in time only")
     m = _entries(rho, "state", (4, 4), (16, 16))
     dim = m.shape[0]
-    steps = max(1, math.ceil(t / dt))
+    steps = max(1, math.ceil(t / _STEP))
     step = t / steps
     # a huge width overflows L, P or the estimate; a non-finite P or estimate
     # fails the error check below
@@ -314,18 +304,17 @@ def lindblad_integrate(rho, t: float, params: MesonParams, dt: float = 1e-3,
         # padded slots read and write the extra last entry, a zero
         v0 = np.append(m.reshape(-1), 0.0)[idx][..., None]
         prop = _rk4_propagator(step * lv)
-        if step > 0.0:
-            # the generator conserves the trace identically, so a coarse step
-            # shows up in the entries, not the trace: estimate it by doubling
-            halves = _rk4_step(lv, _rk4_step(lv, v0, 0.5 * step), 0.5 * step)
-            err = np.abs(prop @ v0 - halves).max(initial=0.0) * steps
-    if not np.isfinite(prop).all() or step > 0.0 and not err <= _STEP_ERROR_LIMIT:
-        raise ValueError("integration error above 1e-6: reduce dt")
+        # the generator conserves the trace identically, so a coarse step
+        # shows up in the entries, not the trace: estimate it by doubling
+        half = _rk4_propagator(0.5 * step * lv)
+        err = np.abs(prop @ v0 - half @ (half @ v0)).max(initial=0.0) * steps
+    if not np.isfinite(prop).all() or not err <= _STEP_ERROR_LIMIT:
+        raise ValueError("integration error above 1e-6 at the fixed step 1e-3")
     r = np.zeros(dim * dim + 1, dtype=complex)
     r[idx] = _apply_steps(prop, v0, steps)[..., 0]
     r = r[:-1].reshape(dim, dim)
     if not abs(np.trace(r).real - np.trace(m).real) <= _STEP_ERROR_LIMIT:
-        raise ValueError("trace drift above 1e-6: reduce dt")
+        raise ValueError("trace drift above 1e-6 at the fixed step 1e-3")
     mask = _MASK4 if dim == 4 else _MASK16
     r = 0.5 * (r + r.conj().T) * mask
     return DensityMatrix(r)

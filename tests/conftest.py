@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
-from mesonq import bmeson_defaults, kaon_defaults, stable_defaults
+from mesonq import (
+    bmeson_defaults, cp_basis_data, kaon_defaults, stable_defaults,
+)
+from mesonq.core import CP_TO_STRANGENESS, kl_state, ks_state
 
 
 @pytest.fixture
@@ -43,3 +46,16 @@ def random_density(rng, dim=2):
     z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     rho = z @ z.conj().T
     return rho / np.trace(rho).real
+
+
+def cp_basis_weights(q, params):
+    """cp_weights for a quasispin whose angles refer to the CP basis.
+
+    The mass eigenstates are non-orthogonal, so the weights of such a
+    quasispin sum to 1 + delta sin(alpha) cos(phi), not to one.
+    """
+    cp = cp_basis_data(params.delta)
+    k = CP_TO_STRANGENESS @ q.state_mass()
+    amp_s = complex(np.vdot(ks_state(cp), k))
+    amp_l = complex(np.vdot(kl_state(cp), k))
+    return amp_s, amp_l, abs(amp_s) ** 2 + abs(amp_l) ** 2

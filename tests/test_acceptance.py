@@ -9,7 +9,7 @@ import numpy as np
 
 from mesonq import (
     K0BAR_DIRECTION, Quasispin, bell_bounds, bipartite_expectation,
-    complementary_time, cp_bell_test, cp_weights, delta_for_equal_times,
+    complementary_time, cp_bell_test, delta_for_equal_times,
     effective_operator, effective_operator_cp, evolve_single_closed,
     hermitian_eigen, joint_probabilities, kaon_defaults, lindblad_integrate,
     misid_time, mu_bound, robertson_check, scan_bell, singlet_state, spectral,
@@ -18,7 +18,9 @@ from mesonq import (
 from mesonq.bell import BellSetting
 from mesonq.evolution import DensityMatrix, embed_surviving
 
-from conftest import min_eigenvalue, random_density, random_pure_state
+from conftest import (
+    cp_basis_weights, min_eigenvalue, random_density, random_pure_state,
+)
 
 KAON = kaon_defaults()
 SEED = 0xB311
@@ -216,8 +218,7 @@ def test_criterion_10_invariant_suites():
     worst_w = 0.0
     for a in np.linspace(0.0, math.pi, 9):
         for phi in np.linspace(0.0, 2 * math.pi, 12, endpoint=False):
-            _, _, w = cp_weights(Quasispin(float(a), float(phi)), KAON,
-                                 q_basis="cp")
+            _, _, w = cp_basis_weights(Quasispin(float(a), float(phi)), KAON)
             want = 1.0 + KAON.delta * math.sin(a) * math.cos(phi)
             worst_w = max(worst_w, abs(w - want))
     if worst_w > 1e-12:

@@ -17,7 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mesonq.cli
-from mesonq import complementary_time, kaon_defaults
+from mesonq import (
+    K0BAR_DIRECTION, MesonParams, complementary_time, kaon_defaults, scan_bell,
+)
 from mesonq.cli import _write_csv, build_parser, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -103,6 +105,18 @@ class TestConstants:
         assert "gamma_l=1.00000000000e+00" in out
         assert "delta=0" in out
 
+    def test_stable(self, capsys):
+        code, out = run(capsys, "constants", "--system", "stable")
+        assert code == 0
+        assert out == ("system=stable\n"
+                       "gamma_s=0.00000000000e+00\n"
+                       "gamma_l=0.00000000000e+00\n"
+                       "delta=0\n"
+                       "gamma_mean=0.00000000000e+00\n"
+                       "delta_gamma=0.00000000000e+00\n"
+                       "tau_s_dm_units=inf\n")
+        assert capsys.readouterr().err == ""
+
 
 class TestTimes:
     def test_kaon_report(self, capsys):
@@ -116,6 +130,23 @@ class TestTimes:
     def test_equal_widths_rejected(self, capsys):
         with pytest.raises(SystemExit):
             main(["times", "--system", "bmeson"])
+
+    def test_delta_overrides_the_preset(self, capsys):
+        kaon = kaon_defaults()
+        params = MesonParams(kaon.gamma_s, kaon.gamma_l, 0.01)
+        code, out = run(capsys, "times", "--system", "kaon", "--delta", "0.01")
+        assert code == 0 and capsys.readouterr().err == ""
+        values = dict(line.split("=") for line in out.strip().splitlines())
+        assert values["complementary_time_dm"] == f"{complementary_time(params):.11e}"
+        assert values["complementary_time_dm"] != f"{complementary_time(kaon):.11e}"
+
+    def test_no_complementary_time_without_cp_asymmetry(self, capsys):
+        code, out = run(capsys, "times", "--delta", "0")
+        assert code == 0 and capsys.readouterr().err == ""
+        lines = out.splitlines()
+        assert [line.split("=")[0] for line in lines[:2]] == [
+            "misid_time_dm", "misid_time_tau_s"]
+        assert lines[2:] == ["complementary_time_dm=none (delta=0)"]
 
 
 class TestUncertaintyCommand:
@@ -206,6 +237,19 @@ class TestBellCommand:
         for row in read_rows(out):
             assert abs(float(row["lambda_max"])) <= 2 * math.sqrt(2) + 1e-9
             assert abs(float(row["lambda_min"])) <= 2 * math.sqrt(2) + 1e-9
+
+    def test_fig_5a_is_the_equal_width_scan(self, capsys):
+        code, out = run(capsys, "bell", "--fig", "5a", "--out", "-")
+        assert code == 0 and capsys.readouterr().err == ""
+        gl = kaon_defaults().gamma_l
+        grid = np.linspace(0.0, 6.0, 601)
+        want = scan_bell("alternating-1", grid, MesonParams(gl, gl),
+                         (K0BAR_DIRECTION,) * 4)
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == len(grid)
+        for name in ("t", "lambda_min", "lambda_max", "summand_mu_bound"):
+            column = grid if name == "t" else getattr(want, name)
+            assert [r[name] for r in rows] == ["%.11e" % x for x in column]
 
     def test_fig_outside_bell_presets_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -300,16 +344,19 @@ class TestLibraryErrors:
          "too narrow for 3 distinct times"),
         # the RK4 propagator overflows; the oracle fails its error check silently
         (["verify", "--trials", "1", "--gamma-s", "1e60", "--gamma-l", "2"],
-         "integration error above 1e-6: reduce dt"),
+         "integration error above 1e-6 at the fixed step 1e-3"),
         (["verify", "--trials", "1", "--gamma-s", "1e200", "--gamma-l", "2"],
-         "integration error above 1e-6: reduce dt"),
+         "integration error above 1e-6 at the fixed step 1e-3"),
         (["verify", "--trials", "1", "--gamma-s", "1e308", "--gamma-l", "2"],
-         "integration error above 1e-6: reduce dt"),
+         "integration error above 1e-6 at the fixed step 1e-3"),
+        # the step is fixed at 1e-3, too coarse for this width
+        (["verify", "--trials", "1", "--gamma-s", "60", "--gamma-l", "2"],
+         "integration error above 1e-6 at the fixed step 1e-3"),
     ], ids=["alpha", "cp-delta", "nan-width", "negative-time", "inf-t-max",
             "fig-inf-t-max", "nan-t-min", "tau_s-overflow", "span-overflow",
             "negative-seed", "out-missing-dir", "out-is-dir", "sub-ulp-span",
             "bell-sub-ulp-span", "verify-width-1e60", "verify-width-1e200",
-            "verify-width-1e308"])
+            "verify-width-1e308", "verify-width-60"])
     def test_value_error_exits_1_with_one_line(self, capsys, argv, message):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -319,6 +366,33 @@ class TestLibraryErrors:
         assert captured.err.startswith("mesonq: error: ")
         assert message in captured.err and captured.err.count("\n") == 1
         assert "Warning" not in captured.err and caught == []
+
+
+class TestRefusedInput:
+    # a SystemExit carrying a message ends the process with status 1 and
+    # the message as its one stderr line
+    @pytest.mark.parametrize("argv,message", [
+        (["times", "--gamma-s", "2"],
+         "custom systems need both --gamma-s and --gamma-l"),
+        (["bell", "--system", "stable", "--time-unit", "tau_s", "--steps", "3"],
+         "tau_s units are undefined for a stable system"),
+        (["bell", "--steps", "1"], "need at least 2 grid points"),
+        (["bell", "--t-min", "2", "--t-max", "1"], "t_min must be below t_max"),
+        (["uncertainty", "--obs1", "1,0,0"],
+         "provide --fig or both --obs1 and --obs2"),
+        (["bell", "--steps", "3", "--quasispins", "1,0;1,0;1,0"],
+         "need four quasispins: 'a1,p1;a2,p2;a3,p3;a4,p4'"),
+        (["bell", "--steps", "3", "--quasispins", "1,0;1,0;1,0;1"],
+         "malformed quasispin: '1'"),
+        (["verify", "--trials", "0"], "trials must be >= 1"),
+    ], ids=["one-width", "stable-tau_s", "one-step", "reversed-span",
+            "no-observables", "three-quasispins", "malformed-quasispin",
+            "zero-trials"])
+    def test_exits_1_with_one_line(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == message and "\n" not in message
+        assert capsys.readouterr() == ("", "")
 
 
 class TestVerify:

@@ -21,7 +21,7 @@ from mesonq.evolution import (
     evolve_single_closed, quasispin_projector4, surviving_pair,
 )
 
-from conftest import random_density
+from conftest import cp_basis_weights, random_density
 
 
 # Test-local forms of the paper's formulas; the library builds every
@@ -326,7 +326,7 @@ class TestCpWeights:
         cp_weights(Quasispin(1.0, 0.3), kaon)
         cp_weights(Quasispin(2.0, 1.1), kaon)
         info = _mass_frame.cache_info()
-        assert (info.misses, info.hits) == (1, 3)
+        assert (info.misses, info.hits) == (1, 1)
         for a in _mass_frame(kaon.delta):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = 0.0
@@ -431,13 +431,12 @@ class TestCpEigenvectors:
         d = kaon.delta
         for a in np.linspace(0.0, math.pi, 7):
             for phi in np.linspace(0.0, 2 * math.pi, 9, endpoint=False):
-                _, _, w = cp_weights(Quasispin(float(a), float(phi)), kaon,
-                                     q_basis="cp")
+                _, _, w = cp_basis_weights(Quasispin(float(a), float(phi)), kaon)
                 assert w == pytest.approx(1.0 + d * math.sin(a) * math.cos(phi),
                                           abs=1e-12)
 
     def test_weight_sum_example(self, kaon):
-        _, _, w = cp_weights(Quasispin(math.pi / 2, 0.0), kaon, q_basis="cp")
+        _, _, w = cp_basis_weights(Quasispin(math.pi / 2, 0.0), kaon)
         assert w == pytest.approx(1.0 + kaon.delta, abs=1e-12)
 
 
